@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ class GradcheckReport:
     checked: int
     skipped: int
     worst: tuple[str, int, float, float] | None = None  # (param, flat index, analytic, numeric)
-    entries: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
         worst = None
@@ -59,7 +58,6 @@ def finite_diff_gradcheck(loss_fn, named_params, n_coords: int = 50,
 
     offsets = np.concatenate([[0], np.cumsum(sizes)])
     rel_errs = []
-    entries = []
     skipped = 0
     worst = None
     for flat in sorted(int(v) for v in picks):
@@ -79,7 +77,6 @@ def finite_diff_gradcheck(loss_fn, named_params, n_coords: int = 50,
         ana = float(p.grad.flat[idx]) if p.grad is not None else 0.0
         rel = abs(ana - num) / max(abs(ana), abs(num), 1e-8)
         rel_errs.append(rel)
-        entries.append((name, idx, ana, num, rel))
         if worst is None or rel > worst[0]:
             worst = (rel, name, idx, ana, num)
 
@@ -92,5 +89,4 @@ def finite_diff_gradcheck(loss_fn, named_params, n_coords: int = 50,
         checked=len(rel_errs),
         skipped=skipped,
         worst=(wname, widx, wana, wnum),
-        entries=entries,
     )

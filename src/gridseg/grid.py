@@ -481,7 +481,6 @@ class GridModel:
         self.init_seed = int(seed)
         self.dtype = np.dtype(dtype)
         self.prune_masked = bool(prune_masked)
-        self.check_shapes = True
 
         self._struct_act = _activity(spec, None)
         self._masked_act = _activity(spec, mask)
@@ -639,12 +638,11 @@ class GridModel:
                     if block.proj_slots[1] and vertical is None:
                         vertical = Tensor(np.zeros(shape, dtype=self.dtype))
                 out = fuse_block(identity, residual, vertical, block.proj, tape)
-                if self.check_shapes:
-                    want = (x.shape[0], self.spec.stream_channels(i), *hw[i])
-                    if out.shape != want:
-                        raise RuntimeError(
-                            f"block ({i},{t}) produced {out.shape}, expected {want}"
-                        )
+                want = (x.shape[0], self.spec.stream_channels(i), *hw[i])
+                if out.shape != want:
+                    raise RuntimeError(
+                        f"block ({i},{t}) produced {out.shape}, expected {want}"
+                    )
                 cur[i] = out
                 if trace is not None:
                     trace[(i, t)] = out

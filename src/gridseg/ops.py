@@ -5,11 +5,15 @@ extracted with zero-copy striding. The reduction order inside that
 product is fixed at (channel, kernel row, kernel col), so forward
 results are bit-deterministic for identical inputs on the same machine.
 
-The transposed convolution is implemented literally as the adjoint of
-the matching strided convolution: zero-insert by the stride, pad, and
-correlate with the spatially flipped, channel-swapped kernel. The same
-primitive therefore serves both the upsampling forward pass and the
-input-gradient of every convolution.
+The transposed convolution is implemented as the adjoint of the matching
+strided convolution, split by output phase: output rows and columns
+congruent to (rh, rw) modulo the stride receive only the kernel taps
+``w[:, :, rh::s, rw::s]``, so each phase is a stride-1 correlation of
+the undilated input with that flipped, channel-swapped sub-kernel (the
+sub-pixel form of a transposed convolution, Shi et al., arXiv
+1609.07009). No multiply-add touches an inserted zero. The same
+primitive serves both the upsampling forward pass and the
+input-gradient of every convolution; stride 1 is its one-phase case.
 """
 
 from __future__ import annotations
@@ -26,10 +30,21 @@ from .tensor import Tape, Tensor
 # ---------------------------------------------------------------------------
 
 
+def _window(x: np.ndarray, h0: int, h1: int, w0: int, w1: int) -> np.ndarray:
+    """``x[:, :, h0:h1, w0:w1]``, reading zeros where the window leaves x."""
+    n, c, h, w = x.shape
+    if h0 >= 0 and w0 >= 0 and h1 <= h and w1 <= w:
+        return x[:, :, h0:h1, w0:w1]
+    out = np.zeros((n, c, h1 - h0, w1 - w0), dtype=x.dtype)
+    a, b = max(h0, 0), min(h1, h)
+    c0, c1 = max(w0, 0), min(w1, w)
+    if a < b and c0 < c1:
+        out[:, :, a - h0 : b - h0, c0 - w0 : c1 - w0] = x[:, :, a:b, c0:c1]
+    return out
+
+
 def _pad2d(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    if ph == 0 and pw == 0:
-        return x
-    return np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    return _window(x, -ph, x.shape[2] + ph, -pw, x.shape[3] + pw)
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
@@ -66,32 +81,55 @@ def _corr2d_weight_grad(x, g, stride, padding, kh, kw) -> np.ndarray:
     return dw.reshape(co, x.shape[1], kh, kw)
 
 
+def _phases(n_out: int, k: int, stride: int, pad: int):
+    """Per output phase along one axis of `_adjoint_corr2d`.
+
+    Yields (r, o0, lo, hi): outputs o0, o0 + stride, ... < n_out take the
+    kernel taps r, r + stride, ... < k, and are the stride-1 correlation
+    of input rows lo..hi-1 (rows outside the input read as zero) with
+    those taps reversed. Output o = o0 + stride*j gathers input
+    q0 + j - m through tap r + stride*m, where q0 = (o0 + pad - r) / stride.
+    """
+    for r in range(stride):
+        taps = len(range(r, k, stride))
+        o0 = (r - pad) % stride
+        count = len(range(o0, n_out, stride))
+        if taps and count:
+            q0 = (o0 + pad - r) // stride
+            yield r, o0, q0 - taps + 1, q0 + count
+
+
 def _adjoint_corr2d(x, w, stride, padding, out_hw) -> np.ndarray:
     """Adjoint of `_corr2d` in its input argument.
 
-    Maps x (n,co,h,w) back to (n,ci,*out_hw): zero-insert x on the stride
-    grid, pad so the result lands exactly on out_hw, and correlate with
-    the rotated kernel at stride 1. The trailing pads absorb both the
-    usual padding offset and any output-padding implied by out_hw.
+    Maps x (n,co,h,w) back to (n,ci,*out_hw). Each of the stride**2
+    output phases (rh, rw) is the correlation of a window of the
+    undilated x with the sub-kernel ``w[:, :, rh::s, rw::s]``, flipped
+    and channel-swapped, written to ``y[:, :, o0h::s, o0w::s]``: the
+    sub-pixel convolution form of the transposed convolution (arXiv
+    1609.07009). The window carries zeros only where it runs past the
+    border of x; a phase with no taps (a 1x1 kernel at stride 2) stays
+    zero. Any output-padding implied by out_hw is covered by the same
+    windows.
     """
     n, co, h, w_in = x.shape
     _, ci, kh, kw = w.shape
     oh, ow = out_hw
-    dil_h = (h - 1) * stride + 1
-    dil_w = (w_in - 1) * stride + 1
-    pl_h = kh - 1 - padding[0]
-    pl_w = kw - 1 - padding[1]
-    pr_h = oh + kh - 1 - pl_h - dil_h
-    pr_w = ow + kw - 1 - pl_w - dil_w
-    if min(pl_h, pl_w, pr_h, pr_w) < 0:
+    if min(kh - 1 - padding[0], kw - 1 - padding[1],
+           oh + padding[0] - (h - 1) * stride - 1,
+           ow + padding[1] - (w_in - 1) * stride - 1) < 0:
         raise ValueError(
             f"target {tuple(out_hw)} not reachable from input {(h, w_in)} "
             f"with kernel {(kh, kw)}, stride {stride}, padding {tuple(padding)}"
         )
-    buf = np.zeros((n, co, pl_h + dil_h + pr_h, pl_w + dil_w + pr_w), dtype=x.dtype)
-    buf[:, :, pl_h : pl_h + dil_h : stride, pl_w : pl_w + dil_w : stride] = x
-    wrot = np.ascontiguousarray(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return _corr2d(buf, wrot, 1, (0, 0))
+    y = np.zeros((n, ci, oh, ow), dtype=np.result_type(x.dtype, w.dtype))
+    for rh, o0h, h0, h1 in _phases(oh, kh, stride, padding[0]):
+        for rw, o0w, w0, w1 in _phases(ow, kw, stride, padding[1]):
+            sub = w[:, :, rh::stride, rw::stride][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+            y[:, :, o0h::stride, o0w::stride] = _corr2d(
+                _window(x, h0, h1, w0, w1), sub, 1, (0, 0)
+            )
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -265,17 +303,19 @@ def batch_norm(x: Tensor, bn: BatchNorm, training: bool, tape: Tape | None = Non
             g = out.grad
             if g is None:
                 return
+            gsum = g.sum(axis=(0, 2, 3))
+            gxhat = (g * xhat).sum(axis=(0, 2, 3))
             if gamma.requires_grad:
-                gamma.accumulate_grad((g * xhat).sum(axis=(0, 2, 3)))
+                gamma.accumulate_grad(gxhat)
             if beta.requires_grad:
-                beta.accumulate_grad(g.sum(axis=(0, 2, 3)))
+                beta.accumulate_grad(gsum)
             if x.requires_grad:
                 gw = gamma.data.reshape(1, c, 1, 1)
                 if training:
                     # standard batch-norm input gradient with batch moments
-                    gsum = g.sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-                    gxhat = (g * xhat).sum(axis=(0, 2, 3)).reshape(1, c, 1, 1)
-                    dx = (gw * inv.reshape(1, c, 1, 1) / m) * (m * g - gsum - xhat * gxhat)
+                    dx = (gw * inv.reshape(1, c, 1, 1) / m) * (
+                        m * g - gsum.reshape(1, c, 1, 1) - xhat * gxhat.reshape(1, c, 1, 1)
+                    )
                 else:
                     dx = g * gw * inv.reshape(1, c, 1, 1)
                 x.accumulate_grad(dx)

@@ -33,6 +33,8 @@ KEY_PATCH = 0x3C6EF372FE94F82B
 
 _MAGIC = b"GRDN"
 _VERSION = 1
+_HEADER_KEYS = frozenset({"spec", "mask", "input_hw", "init_seed", "prune_masked",
+                          "params", "buffers", "optim", "train"})
 
 
 @dataclass(frozen=True)
@@ -223,10 +225,22 @@ def load_checkpoint(path: str, expect_spec: GridSpec | None = None):
         raw = f.read()
     if raw[:4] != _MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
+    if len(raw) < 16:
+        raise ValueError(f"{path}: checkpoint truncated")
     version, header_len = struct.unpack("<IQ", raw[4:16])
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    header = json.loads(raw[16:16 + header_len].decode())
+    if 16 + header_len > len(raw):
+        raise ValueError(f"{path}: checkpoint truncated")
+    try:
+        header = json.loads(raw[16:16 + header_len].decode())
+    except ValueError as e:  # JSONDecodeError and UnicodeDecodeError
+        raise ValueError(f"{path}: checkpoint header is not valid JSON ({e})") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
+    missing = _HEADER_KEYS - header.keys()
+    if missing:
+        raise ValueError(f"{path}: checkpoint header lacks {sorted(missing)}")
     spec = GridSpec.from_dict(header["spec"])
     if expect_spec is not None and spec != expect_spec:
         for name in (f.name for f in fields(GridSpec)):

@@ -158,6 +158,13 @@ class TestExitCodes:
                            "--checkpoint", ckpt)
         assert code == 2 and "base_channels" in err
 
+    def test_truncated_checkpoint_is_runtime_error(self, capsys, tmp_path, tiny_config):
+        ckpt = tmp_path / "m.grdn"
+        ckpt.write_bytes(b"GRDN\x01\x00")
+        code, _, err = run(capsys, "eval", "--config", tiny_config,
+                           "--checkpoint", str(ckpt))
+        assert code == 2 and "truncated" in err and err.count("\n") == 1
+
     def test_negative_seed_rejected(self, capsys, tiny_config):
         code, _, err = run(capsys, "report", "--config", tiny_config,
                            "--seed", "-4")

@@ -1,6 +1,8 @@
 """Training loop determinism, scheduling, and checkpoint round-trips."""
 
 import dataclasses
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -198,6 +200,42 @@ class TestCheckpoints:
         open(extra, "wb").write(raw + b"\x00" * 8)
         with pytest.raises(ValueError, match="trailing"):
             load_checkpoint(extra)
+
+    def test_every_short_prefix_rejected(self, tmp_path):
+        model = tiny_model()
+        optim = make_optimizer(model, TrainConfig(epochs=1))
+        path = str(tmp_path / "m.grdn")
+        save_checkpoint(path, model, optim, 0, 0)
+        raw = open(path, "rb").read()
+        short = str(tmp_path / "short")
+        for n in range(18):
+            open(short, "wb").write(raw[:n])
+            with pytest.raises(ValueError, match="not a checkpoint|truncated"):
+                load_checkpoint(short)
+
+    def test_malformed_header_rejected(self, tmp_path):
+        model = tiny_model()
+        optim = make_optimizer(model, TrainConfig(epochs=1))
+        path = str(tmp_path / "m.grdn")
+        save_checkpoint(path, model, optim, 0, 0)
+        raw = open(path, "rb").read()
+        header_len = struct.unpack("<Q", raw[8:16])[0]
+        header = json.loads(raw[16:16 + header_len])
+        payload = raw[16 + header_len:]
+        bad = str(tmp_path / "bad")
+
+        def write(blob):
+            open(bad, "wb").write(raw[:8] + struct.pack("<Q", len(blob)) + blob + payload)
+
+        cases = [(b"{", "not valid JSON"), (b"\xff\xfe", "not valid JSON"),
+                 (b"[]", "not a JSON object"), (b"{}", "lacks")]
+        for key in sorted(header):
+            trimmed = {k: v for k, v in header.items() if k != key}
+            cases.append((json.dumps(trimmed).encode(), f"lacks \\['{key}'\\]"))
+        for blob, message in cases:
+            write(blob)
+            with pytest.raises(ValueError, match=message):
+                load_checkpoint(bad)
 
     def test_float64_model_rejected(self, tmp_path):
         model = build_grid(SPEC, (8, 8), dtype=np.float64)
