@@ -2,14 +2,17 @@
 
 Parsing is strict: any key that does not correspond to a dataclass field
 is rejected with the section it appeared in, so typos fail fast instead
-of silently falling back to defaults. Sections may be given partially;
-missing fields keep their defaults.
+of silently falling back to defaults, and every value must fit its
+field's annotation (an int field takes no float or bool, a float field
+takes ints). Sections may be given partially; missing fields keep their
+defaults.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field, fields
 
 from .data import AugmentConfig
@@ -44,6 +47,8 @@ class EvalConfig:
         object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
         if not self.scales:
             raise ValueError("eval.scales must not be empty")
+        if min(self.scales) <= 0:
+            raise ValueError(f"eval.scales must be positive, got {list(self.scales)}")
 
 
 def _default_grid() -> GridSpec:
@@ -86,7 +91,7 @@ class RunConfig:
         out["train"] = _merge_section("train", base.train, d.get("train"), TrainConfig)
         out["eval"] = _merge_section("eval", base.eval, d.get("eval"), EvalConfig)
         seed = d.get("seed", base.seed)
-        if not isinstance(seed, int) or seed < 0:
+        if not _fits(seed, int) or seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         out["seed"] = seed
         return cls(**out)
@@ -101,10 +106,28 @@ def _merge_section(name: str, base, d, cls):
     unknown = set(d) - known
     if unknown:
         raise ConfigError(f"unknown keys in section {name!r}: {sorted(unknown)}")
+    for key, hint in typing.get_type_hints(cls).items():
+        if key in d and not _fits(d[key], hint):
+            want = hint.__name__ if isinstance(hint, type) else hint
+            raise ConfigError(f"section {name!r}: {key} must be {want}, got {d[key]!r}")
     try:
         return dataclasses.replace(base, **d)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"section {name!r}: {e}") from None
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation."""
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+        return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+    if args:  # a union such as int | None
+        return any(_fits(value, a) for a in args)
+    return isinstance(value, hint)
 
 
 def load_config(path: str) -> RunConfig:

@@ -22,13 +22,21 @@ presets reproduce classic topologies (single encoder-decoder path, the
 same with skip wires, and a full-resolution residual stream over a
 non-residual down/up path). Masked parameters stay allocated (and frozen)
 unless the model is built with ``prune_masked=True``.
+
+The evaluation order is written once, in :func:`_order`. At build time
+:class:`GridModel` walks it against the mask and keeps the blocks that
+run, in order, as its ``plan``; each :class:`GridBlock` records there
+whether its identity wire carries a value, whether its residual unit
+runs and which stream its vertical unit reads. The forward pass, the
+dropout gates and :func:`activation_tally` read only those flags.
+Parameter and buffer names are attribute paths, collected by
+:func:`named_leaves`.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -95,17 +103,8 @@ class GridSpec:
         return self.base_channels * (1 << i)
 
     def to_dict(self) -> dict:
-        return {
-            "n_streams": self.n_streams,
-            "column_kinds": list(self.column_kinds),
-            "base_channels": self.base_channels,
-            "num_classes": self.num_classes,
-            "image_channels": self.image_channels,
-            "dropout_p": self.dropout_p,
-            "fusion": self.fusion,
-            "vertical_residual": self.vertical_residual,
-            "mask": self.mask,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return out | {"column_kinds": list(self.column_kinds)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GridSpec":
@@ -242,32 +241,35 @@ def preset_mask(name: str, spec: GridSpec) -> ConnectionMask:
     raise ValueError(f"unknown mask preset {name!r}; choose from {_MASK_PRESETS}")
 
 
+def _order(spec: GridSpec):
+    """Evaluation order: (stream, column, vertical source stream or None).
+
+    Subsampling columns run top to bottom, each block reading the stream
+    above it in the same column; upsampling columns run bottom to top,
+    reading the stream below. This is the only place the order is written.
+    """
+    n = spec.n_streams
+    for t, kind in enumerate(spec.column_kinds):
+        if kind == SUB:
+            for i in range(n):
+                yield i, t, (i - 1 if i > 0 else None)
+        else:
+            for i in range(n - 1, -1, -1):
+                yield i, t, (i + 1 if i < n - 1 else None)
+
+
 def _activity(spec: GridSpec, mask: ConnectionMask | None) -> np.ndarray:
     """Which blocks carry a value, per stream and column (column 0 = stem).
 
     With ``mask=None`` this is the structural activity used for parameter
     allocation; with a mask it is what the forward pass actually computes.
     """
-    n, cols = spec.n_streams, spec.n_columns
-    act = np.zeros((n, cols + 1), bool)
+    act = np.zeros((spec.n_streams, spec.n_columns + 1), bool)
     act[0, 0] = True
-
-    def h_on(i, t):
-        return mask is None or bool(mask.horizontal_on[i, t])
-
-    def v_on(i, t):
-        return mask is None or bool(mask.vertical_on[i, t])
-
-    for t, kind in enumerate(spec.column_kinds):
-        c = t + 1
-        rows = range(n) if kind == SUB else range(n - 1, -1, -1)
-        for i in rows:
-            horizontal = act[i, c - 1] and h_on(i, t)
-            if kind == SUB:
-                vertical = i > 0 and act[i - 1, c] and v_on(i, t)
-            else:
-                vertical = i < n - 1 and act[i + 1, c] and v_on(i, t)
-            act[i, c] = horizontal or vertical
+    for i, t, src in _order(spec):
+        h_on = mask is None or mask.horizontal_on[i, t]
+        v_on = mask is None or mask.vertical_on[i, t]
+        act[i, t + 1] = (act[i, t] and h_on) or (src is not None and act[src, t + 1] and v_on)
     return act
 
 
@@ -276,7 +278,37 @@ def _activity(spec: GridSpec, mask: ConnectionMask | None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class ResidualUnit:
+def named_leaves(obj, prefix: str, kind) -> list:
+    """(path, leaf) for every ``kind`` instance under obj's attributes, sorted by path.
+
+    Attributes holding objects with their own attributes (units, batch
+    norms, conv parameters) are walked recursively; everything else that
+    is not a ``kind`` (geometry, flags, None) is skipped.
+    """
+    out = []
+    for name, value in vars(obj).items():
+        path = f"{prefix}.{name}"
+        if isinstance(value, kind):
+            out.append((path, value))
+        elif hasattr(value, "__dict__"):
+            out += named_leaves(value, path, kind)
+    return sorted(out, key=lambda kv: kv[0])
+
+
+class _Unit:
+    """Parameters are the Tensor leaves under a unit, buffers the ndarray leaves.
+
+    ``prefix`` defaults to the unit's ``name``, which only blocks have.
+    """
+
+    def named_parameters(self, prefix: str | None = None) -> list[tuple[str, Tensor]]:
+        return named_leaves(self, prefix or self.name, Tensor)
+
+    def named_buffers(self, prefix: str | None = None) -> list[tuple[str, np.ndarray]]:
+        return named_leaves(self, prefix or self.name, np.ndarray)
+
+
+class ResidualUnit(_Unit):
     """Preactivation residual mapping: BN-relu-conv3x3-BN-relu-conv3x3."""
 
     def __init__(self, channels: int, rng, dtype):
@@ -291,28 +323,8 @@ class ResidualUnit:
         t = ops.relu(ops.batch_norm(t, self.bn2, training, tape), tape)
         return ops.conv2d(t, self.conv2, tape)
 
-    def named_parameters(self, prefix: str):
-        return [
-            (f"{prefix}.bn1.beta", self.bn1.beta),
-            (f"{prefix}.bn1.gamma", self.bn1.gamma),
-            (f"{prefix}.bn2.beta", self.bn2.beta),
-            (f"{prefix}.bn2.gamma", self.bn2.gamma),
-            (f"{prefix}.conv1.bias", self.conv1.bias),
-            (f"{prefix}.conv1.weight", self.conv1.weight),
-            (f"{prefix}.conv2.bias", self.conv2.bias),
-            (f"{prefix}.conv2.weight", self.conv2.weight),
-        ]
 
-    def named_buffers(self, prefix: str):
-        return [
-            (f"{prefix}.bn1.running_mean", self.bn1.running_mean),
-            (f"{prefix}.bn1.running_var", self.bn1.running_var),
-            (f"{prefix}.bn2.running_mean", self.bn2.running_mean),
-            (f"{prefix}.bn2.running_var", self.bn2.running_var),
-        ]
-
-
-class DownUnit:
+class DownUnit(_Unit):
     """BN-relu-conv3x3 stride 2, doubling channels; optional 1x1 shortcut."""
 
     def __init__(self, in_channels: int, rng, dtype, shortcut: bool):
@@ -329,28 +341,8 @@ class DownUnit:
             y = ops.add(y, ops.conv2d(x, self.shortcut, tape), tape)
         return y
 
-    def named_parameters(self, prefix: str):
-        out = [
-            (f"{prefix}.bn.beta", self.bn.beta),
-            (f"{prefix}.bn.gamma", self.bn.gamma),
-            (f"{prefix}.conv.bias", self.conv.bias),
-            (f"{prefix}.conv.weight", self.conv.weight),
-        ]
-        if self.shortcut is not None:
-            out += [
-                (f"{prefix}.shortcut.bias", self.shortcut.bias),
-                (f"{prefix}.shortcut.weight", self.shortcut.weight),
-            ]
-        return out
 
-    def named_buffers(self, prefix: str):
-        return [
-            (f"{prefix}.bn.running_mean", self.bn.running_mean),
-            (f"{prefix}.bn.running_var", self.bn.running_var),
-        ]
-
-
-class UpUnit:
+class UpUnit(_Unit):
     """BN-relu-transposed-conv3x3 stride 2, halving channels; optional shortcut."""
 
     def __init__(self, in_channels: int, rng, dtype, shortcut: bool):
@@ -372,29 +364,17 @@ class UpUnit:
             y = ops.add(y, ops.deconv2d_up(x, self.shortcut, target_hw, tape), tape)
         return y
 
-    def named_parameters(self, prefix: str):
-        out = [
-            (f"{prefix}.bn.beta", self.bn.beta),
-            (f"{prefix}.bn.gamma", self.bn.gamma),
-            (f"{prefix}.conv.bias", self.conv.bias),
-            (f"{prefix}.conv.weight", self.conv.weight),
-        ]
-        if self.shortcut is not None:
-            out += [
-                (f"{prefix}.shortcut.bias", self.shortcut.bias),
-                (f"{prefix}.shortcut.weight", self.shortcut.weight),
-            ]
-        return out
-
-    def named_buffers(self, prefix: str):
-        return [
-            (f"{prefix}.bn.running_mean", self.bn.running_mean),
-            (f"{prefix}.bn.running_var", self.bn.running_var),
-        ]
-
 
 @dataclass
-class GridBlock:
+class GridBlock(_Unit):
+    """Units of one grid position, plus what the forward pass runs there.
+
+    ``identity``, ``residual`` and ``src`` are fixed when the model is
+    built from its connection mask: whether the horizontal wire carries a
+    value, whether the residual unit runs on it, and which stream the
+    vertical unit reads (None: no vertical addend).
+    """
+
     row: int
     col: int  # grid column, 0-based
     kind: str
@@ -402,27 +382,13 @@ class GridBlock:
     vert: DownUnit | UpUnit | None = None
     proj: ops.ConvParams | None = None  # concat-fusion projection
     proj_slots: tuple[bool, bool] = (False, False)  # (horizontal, vertical) slots
+    identity: bool = False
+    residual: bool = False
+    src: int | None = None
 
-    def named_parameters(self):
-        prefix = f"block.{self.row}.{self.col}"
-        out = []
-        if self.proj is not None:
-            out += [(f"{prefix}.proj.bias", self.proj.bias),
-                    (f"{prefix}.proj.weight", self.proj.weight)]
-        if self.res is not None:
-            out += self.res.named_parameters(f"{prefix}.res")
-        if self.vert is not None:
-            out += self.vert.named_parameters(f"{prefix}.vert")
-        return sorted(out, key=lambda kv: kv[0])
-
-    def named_buffers(self):
-        prefix = f"block.{self.row}.{self.col}"
-        out = []
-        if self.res is not None:
-            out += self.res.named_buffers(f"{prefix}.res")
-        if self.vert is not None:
-            out += self.vert.named_buffers(f"{prefix}.vert")
-        return sorted(out, key=lambda kv: kv[0])
+    @property
+    def name(self) -> str:
+        return f"block.{self.row}.{self.col}"
 
 
 def fuse_block(identity: Tensor | None, residual: Tensor | None, vertical: Tensor | None,
@@ -438,11 +404,9 @@ def fuse_block(identity: Tensor | None, residual: Tensor | None, vertical: Tenso
     if identity is None and vertical is None:
         raise ValueError("fuse_block: no inputs present")
     if proj is None:
-        out = identity
-        if residual is not None:
-            out = ops.add(out, residual, tape)
-        if vertical is not None:
-            out = vertical if out is None else ops.add(out, vertical, tape)
+        out, *rest = [a for a in (identity, residual, vertical) if a is not None]
+        for addend in rest:
+            out = ops.add(out, addend, tape)
         return out
     slots = []
     if identity is not None:
@@ -482,9 +446,8 @@ class GridModel:
         self.dtype = np.dtype(dtype)
         self.prune_masked = bool(prune_masked)
 
-        self._struct_act = _activity(spec, None)
-        self._masked_act = _activity(spec, mask)
-        if spec.n_columns and not self._masked_act[0, spec.n_columns]:
+        self._masked_act = act = _activity(spec, mask)
+        if spec.n_columns and not act[0, spec.n_columns]:
             raise ValueError("connection mask leaves the output block unreachable")
 
         rng = np.random.default_rng(seed)
@@ -492,87 +455,60 @@ class GridModel:
         self.stem_conv = ops.conv_params(rng, spec.base_channels, spec.image_channels,
                                          3, 3, 1, (1, 1), dtype)
         self.blocks: dict[tuple[int, int], GridBlock] = {}
-        alloc_act = self._masked_act if prune_masked else self._struct_act
-        for t, kind in enumerate(spec.column_kinds):
-            c = t + 1
-            rows = range(spec.n_streams) if kind == SUB else range(spec.n_streams - 1, -1, -1)
-            for i in rows:
-                if not alloc_act[i, c]:
-                    continue
-                block = GridBlock(i, t, kind)
-                f_i = spec.stream_channels(i)
-                has_horizontal = alloc_act[i, c - 1] and (
-                    not prune_masked or mask.horizontal_on[i, t])
-                if has_horizontal and (not prune_masked or mask.residual_on[i, t]):
-                    block.res = ResidualUnit(f_i, rng, dtype)
-                if kind == SUB:
-                    has_vertical = i > 0 and alloc_act[i - 1, c]
-                else:
-                    has_vertical = i < spec.n_streams - 1 and alloc_act[i + 1, c]
-                if has_vertical and (not prune_masked or mask.vertical_on[i, t]):
-                    if kind == SUB:
-                        block.vert = DownUnit(spec.stream_channels(i - 1), rng, dtype,
-                                              spec.vertical_residual)
-                    else:
-                        block.vert = UpUnit(spec.stream_channels(i + 1), rng, dtype,
-                                            spec.vertical_residual)
-                if spec.fusion == "concat":
-                    block.proj_slots = (bool(has_horizontal), block.vert is not None)
-                    n_slots = sum(block.proj_slots)
-                    if n_slots:
-                        block.proj = ops.conv_params(rng, f_i, n_slots * f_i, 1, 1, 1,
-                                                     (0, 0), dtype)
-                self.blocks[(i, t)] = block
+        self.plan: list[GridBlock] = []  # the blocks that run, in evaluation order
+        alloc = act if prune_masked else _activity(spec, None)
+        for i, t, src in _order(spec):
+            if not alloc[i, t + 1]:
+                continue
+            kind = spec.column_kinds[t]
+            h_on, r_on, v_on = (bool(m[i, t]) for m in
+                                (mask.horizontal_on, mask.residual_on, mask.vertical_on))
+            block = GridBlock(i, t, kind)
+            f_i = spec.stream_channels(i)
+            has_horizontal = alloc[i, t] and (h_on or not prune_masked)
+            if has_horizontal and (r_on or not prune_masked):
+                block.res = ResidualUnit(f_i, rng, dtype)
+            if src is not None and alloc[src, t + 1] and (v_on or not prune_masked):
+                unit = DownUnit if kind == SUB else UpUnit
+                block.vert = unit(spec.stream_channels(src), rng, dtype, spec.vertical_residual)
+            if spec.fusion == "concat":
+                block.proj_slots = (bool(has_horizontal), block.vert is not None)
+                n_slots = sum(block.proj_slots)
+                if n_slots:
+                    block.proj = ops.conv_params(rng, f_i, n_slots * f_i, 1, 1, 1,
+                                                 (0, 0), dtype)
+            if act[i, t + 1]:
+                block.identity = h_on and bool(act[i, t])
+                block.residual = block.identity and block.res is not None and r_on
+                if block.vert is not None and v_on and act[src, t + 1]:
+                    block.src = src
+                self.plan.append(block)
+            self.blocks[(i, t)] = block
         self.head = ops.conv_params(rng, spec.num_classes, spec.base_channels, 1, 1, 1,
                                     (0, 0), dtype)
-
-        self.eval_order: list[tuple[int, int]] = []
-        for t, kind in enumerate(spec.column_kinds):
-            rows = range(spec.n_streams) if kind == SUB else range(spec.n_streams - 1, -1, -1)
-            for i in rows:
-                if self._masked_act[i, t + 1]:
-                    self.eval_order.append((i, t))
+        self.eval_order = [(b.row, b.col) for b in self.plan]
         self.stream_shapes = [stream_dims(spec, i, self.input_hw)
                               for i in range(spec.n_streams)]
 
     # -- bookkeeping ---------------------------------------------------
 
+    def _named(self, kind) -> list:
+        """Stem, then blocks in (row, col) order, then head: the v1 checkpoint order."""
+        out = named_leaves(self.stem_bn, "stem.bn", kind)
+        out += named_leaves(self.stem_conv, "stem.conv", kind)
+        for _, block in sorted(self.blocks.items()):
+            out += named_leaves(block, block.name, kind)
+        return out + named_leaves(self.head, "head", kind)
+
     def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = [
-            ("stem.bn.beta", self.stem_bn.beta),
-            ("stem.bn.gamma", self.stem_bn.gamma),
-            ("stem.conv.bias", self.stem_conv.bias),
-            ("stem.conv.weight", self.stem_conv.weight),
-        ]
-        for key in sorted(self.blocks):
-            out.extend(self.blocks[key].named_parameters())
-        out += [("head.bias", self.head.bias), ("head.weight", self.head.weight)]
-        return out
+        return self._named(Tensor)
 
     def named_buffers(self) -> list[tuple[str, np.ndarray]]:
-        out = [
-            ("stem.bn.running_mean", self.stem_bn.running_mean),
-            ("stem.bn.running_var", self.stem_bn.running_var),
-        ]
-        for key in sorted(self.blocks):
-            out.extend(self.blocks[key].named_buffers())
-        return out
-
-    def zero_grads(self) -> None:
-        for _, p in self.named_parameters():
-            p.zero_grad()
+        return self._named(np.ndarray)
 
     def residual_gate_ids(self) -> list[tuple[int, int]]:
         """Blocks whose residual unit actually runs, in evaluation order."""
-        out = []
-        for (i, t) in self.eval_order:
-            block = self.blocks[(i, t)]
-            if block.res is None:
-                continue
-            if self.mask.horizontal_on[i, t] and self.mask.residual_on[i, t] \
-                    and self._masked_act[i, t]:
-                out.append((i, t))
-        return out
+        return [(b.row, b.col) for b in self.plan if b.residual]
 
     def stream_hw(self, i: int, input_hw) -> tuple[int, int]:
         return stream_dims(self.spec, i, input_hw)[1:]
@@ -583,7 +519,7 @@ class GridModel:
                 trace: dict | None = None) -> Tensor:
         """Run the grid; returns logits (n, num_classes, h, w).
 
-        ``drop_mask`` (training only) zeroes the residual addend of
+        ``drop_mask`` (training only) removes the residual addend of
         selected blocks; identity wires and vertical units never drop.
         """
         if not isinstance(x, Tensor):
@@ -598,59 +534,41 @@ class GridModel:
         min_side = 1 << (self.spec.n_streams - 1)
         if min(in_hw) < min_side:
             raise ValueError(f"input {in_hw} smaller than minimum side {min_side}")
-        hw = [stream_dims(self.spec, i, in_hw)[1:] for i in range(self.spec.n_streams)]
+        hw = [self.stream_hw(i, in_hw) for i in range(self.spec.n_streams)]
 
         stem = ops.conv2d(ops.batch_norm(x, self.stem_bn, training, tape), self.stem_conv, tape)
         if trace is not None:
             trace["stem"] = stem
-        prev: dict[int, Tensor] = {0: stem}
-        for t, kind in enumerate(self.spec.column_kinds):
-            cur: dict[int, Tensor] = {}
-            rows = range(self.spec.n_streams) if kind == SUB \
-                else range(self.spec.n_streams - 1, -1, -1)
-            for i in rows:
-                if not self._masked_act[i, t + 1]:
-                    continue
-                block = self.blocks[(i, t)]
-                identity = prev.get(i) if self.mask.horizontal_on[i, t] else None
-                residual = None
-                if identity is not None and block.res is not None \
-                        and self.mask.residual_on[i, t]:
-                    keep = drop_mask is None or drop_mask.keeps(i, t)
-                    if keep:
-                        residual = block.res.forward(identity, training, tape)
-                    else:
-                        residual = Tensor(np.zeros_like(identity.data))
-                vertical = None
-                if block.vert is not None and self.mask.vertical_on[i, t]:
-                    src = cur.get(i - 1) if kind == SUB else cur.get(i + 1)
-                    if src is not None:
-                        if kind == SUB:
-                            vertical = block.vert.forward(src, training, tape)
-                        else:
-                            vertical = block.vert.forward(src, hw[i], training, tape)
-                if block.proj is not None:
-                    # keep the projection's channel layout static: slots whose
-                    # source is masked off at runtime are fed zeros instead
-                    shape = (x.shape[0], self.spec.stream_channels(i), *hw[i])
-                    if block.proj_slots[0] and identity is None:
-                        identity = Tensor(np.zeros(shape, dtype=self.dtype))
-                    if block.proj_slots[1] and vertical is None:
-                        vertical = Tensor(np.zeros(shape, dtype=self.dtype))
-                out = fuse_block(identity, residual, vertical, block.proj, tape)
-                want = (x.shape[0], self.spec.stream_channels(i), *hw[i])
-                if out.shape != want:
-                    raise RuntimeError(
-                        f"block ({i},{t}) produced {out.shape}, expected {want}"
-                    )
-                cur[i] = out
-                if trace is not None:
-                    trace[(i, t)] = out
-            prev = cur
-        top = prev.get(0) if self.spec.n_columns else stem
-        if top is None:
-            raise RuntimeError("no value reached stream 0 at the last column")
-        logits = ops.conv2d(top, self.head, tape)
+        # latest value of each stream; a block reads its own stream before
+        # overwriting it and its vertical source after that was updated
+        value: dict[int, Tensor] = {0: stem}
+        for block in self.plan:
+            i, t = block.row, block.col
+            identity = value[i] if block.identity else None
+            residual = None
+            if block.residual and (drop_mask is None or drop_mask.keeps(i, t)):
+                residual = block.res.forward(identity, training, tape)
+            vertical = None
+            if block.src is not None:
+                if block.kind == SUB:
+                    vertical = block.vert.forward(value[block.src], training, tape)
+                else:
+                    vertical = block.vert.forward(value[block.src], hw[i], training, tape)
+            want = (x.shape[0], self.spec.stream_channels(i), *hw[i])
+            if block.proj is not None:
+                # keep the projection's channel layout static: slots whose
+                # source is masked off at runtime are fed zeros instead
+                if block.proj_slots[0] and identity is None:
+                    identity = Tensor(np.zeros(want, dtype=self.dtype))
+                if block.proj_slots[1] and vertical is None:
+                    vertical = Tensor(np.zeros(want, dtype=self.dtype))
+            out = fuse_block(identity, residual, vertical, block.proj, tape)
+            if out.shape != want:
+                raise RuntimeError(f"block ({i},{t}) produced {out.shape}, expected {want}")
+            value[i] = out
+            if trace is not None:
+                trace[(i, t)] = out
+        logits = ops.conv2d(value[0], self.head, tape)
         if trace is not None:
             trace["logits"] = logits
         return logits
@@ -697,32 +615,23 @@ def activation_tally(model: GridModel, input_hw=None) -> int:
     h, w = in_hw
     total = spec.image_channels * h * w          # stem BN output
     total += spec.base_channels * h * w          # stem conv output
-    for (i, t) in model.eval_order:
-        block = model.blocks[(i, t)]
-        has_identity = model.mask.horizontal_on[i, t] and model._masked_act[i, t]
-        run_res = has_identity and block.res is not None and model.mask.residual_on[i, t]
-        if run_res:
-            total += 6 * size[i]                 # bn, relu, conv, bn, relu, conv
-        vert = None
-        if block.vert is not None and model.mask.vertical_on[i, t]:
-            j = i - 1 if block.kind == SUB else i + 1
-            if model._masked_act[j, t + 1]:
-                vert = block.vert
-        if vert is not None:
-            src = i - 1 if block.kind == SUB else i + 1
-            total += 2 * size[src] + size[i]     # bn, relu, resampling conv
+    for block in model.plan:
+        s_i = size[block.row]
+        if block.residual:
+            total += 6 * s_i                     # bn, relu, conv, bn, relu, conv
+        if block.src is not None:
+            total += 2 * size[block.src] + s_i   # bn, relu, resampling conv
             if spec.vertical_residual:
-                total += 2 * size[i]             # shortcut conv + add
-        n_terms = int(has_identity) + int(run_res) + int(vert is not None)
+                total += 2 * s_i                 # shortcut conv + add
         if block.proj is not None:
             slots = sum(block.proj_slots)        # zero-filled slots still stack
-            if run_res:
-                total += size[i]                 # identity + residual pre-sum
+            if block.residual:
+                total += s_i                     # identity + residual pre-sum
             if slots > 1:
-                total += slots * size[i]         # concatenated stack
-            total += size[i]                     # projection output
-        elif n_terms > 1:
-            total += (n_terms - 1) * size[i]     # pairwise sums
+                total += slots * s_i             # concatenated stack
+            total += s_i                         # projection output
+        else:                                    # pairwise sums
+            total += (block.identity + block.residual + (block.src is not None) - 1) * s_i
     total += spec.num_classes * h * w            # head logits
     return int(total)
 
@@ -746,6 +655,3 @@ def grid_report(model: GridModel) -> dict:
         "eval_order": [f"s{i}c{t + 1}" for (i, t) in model.eval_order],
     }
 
-
-def grid_report_json(model: GridModel) -> str:
-    return json.dumps(grid_report(model), indent=2, sort_keys=True)

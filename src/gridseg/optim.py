@@ -84,10 +84,6 @@ class Adam:
             p.grad = None
         return lr_t
 
-    def zero_grads(self) -> None:
-        for p in self.params:
-            p.grad = None
-
     def hyperparams(self) -> dict:
         return {
             "lr": self.lr,

@@ -67,9 +67,6 @@ class Tape:
     def record(self, backward_fn) -> None:
         self._nodes.append(backward_fn)
 
-    def __len__(self) -> int:
-        return len(self._nodes)
-
 
 def backward(tape: Tape, loss: Tensor) -> None:
     """Propagate d(loss)/d(x) into every recorded tensor's ``grad`` slot."""

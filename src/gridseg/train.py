@@ -35,6 +35,13 @@ _MAGIC = b"GRDN"
 _VERSION = 1
 _HEADER_KEYS = frozenset({"spec", "mask", "input_hw", "init_seed", "prune_masked",
                           "params", "buffers", "optim", "train"})
+_MASK_KEYS = ("horizontal_on", "residual_on", "vertical_on")
+_NESTED_KEYS = {
+    "spec": {"n_streams", "column_kinds"},
+    "mask": set(_MASK_KEYS),
+    "optim": {"t", "lr", "beta1", "beta2", "eps", "lr_decay", "decay_mode"},
+    "train": {"seed", "epochs_done"},
+}
 
 
 @dataclass(frozen=True)
@@ -182,11 +189,7 @@ def save_checkpoint(path: str, model: GridModel, optim: Adam, train_seed: int,
         raise ValueError("optimizer parameter order does not match the model")
     header = {
         "spec": model.spec.to_dict(),
-        "mask": {
-            "horizontal_on": model.mask.horizontal_on.tolist(),
-            "residual_on": model.mask.residual_on.tolist(),
-            "vertical_on": model.mask.vertical_on.tolist(),
-        },
+        "mask": {k: getattr(model.mask, k).tolist() for k in _MASK_KEYS},
         "input_hw": list(model.input_hw),
         "init_seed": model.init_seed,
         "prune_masked": model.prune_masked,
@@ -241,7 +244,27 @@ def load_checkpoint(path: str, expect_spec: GridSpec | None = None):
     missing = _HEADER_KEYS - header.keys()
     if missing:
         raise ValueError(f"{path}: checkpoint header lacks {sorted(missing)}")
-    spec = GridSpec.from_dict(header["spec"])
+    for key, need in _NESTED_KEYS.items():
+        if not isinstance(header[key], dict) or not need <= header[key].keys():
+            raise ValueError(f"{path}: checkpoint header {key!r} must be an object "
+                             f"with keys {sorted(need)}")
+    hw = header["input_hw"]
+    if not (isinstance(hw, list) and len(hw) == 2):
+        raise ValueError(f"{path}: checkpoint input_hw must be [height, width]")
+    counters = [*hw, header["init_seed"], header["optim"]["t"], header["train"]["seed"],
+                header["train"]["epochs_done"]]
+    if not all(type(v) is int and v >= 0 for v in counters):
+        raise ValueError(f"{path}: checkpoint input size, seeds, step and epoch count "
+                         f"must be non-negative integers")
+    try:  # values of the wrong type surface as TypeError in the constructors
+        spec = GridSpec.from_dict(header["spec"])
+        mask = ConnectionMask(*(np.array(header["mask"][k], bool) for k in _MASK_KEYS))
+        model = build_grid(spec, hw, mask=mask, seed=header["init_seed"],
+                           prune_masked=header["prune_masked"])
+        params = model.named_parameters()
+        optim = Adam(params, **{k: v for k, v in header["optim"].items() if k != "t"})
+    except TypeError as e:
+        raise ValueError(f"{path}: malformed checkpoint header ({e})") from None
     if expect_spec is not None and spec != expect_spec:
         for name in (f.name for f in fields(GridSpec)):
             a, b = getattr(spec, name), getattr(expect_spec, name)
@@ -249,15 +272,7 @@ def load_checkpoint(path: str, expect_spec: GridSpec | None = None):
                 raise ValueError(
                     f"checkpoint spec mismatch: {name} is {a!r}, expected {b!r}"
                 )
-    mask = ConnectionMask(
-        np.array(header["mask"]["horizontal_on"], bool),
-        np.array(header["mask"]["residual_on"], bool),
-        np.array(header["mask"]["vertical_on"], bool),
-    )
-    model = build_grid(spec, header["input_hw"], mask=mask,
-                       seed=header["init_seed"],
-                       prune_masked=header["prune_masked"])
-    params = model.named_parameters()
+    optim.t = header["optim"]["t"]
     if [[n, list(p.shape)] for n, p in params] != header["params"]:
         raise ValueError("checkpoint parameter table does not match the rebuilt model")
     buffers = model.named_buffers()
@@ -268,10 +283,6 @@ def load_checkpoint(path: str, expect_spec: GridSpec | None = None):
         p.data, offset = _take(raw, offset, p.shape, np.float32)
     for _, b in buffers:
         b[...], offset = _take(raw, offset, b.shape, np.float32)
-    opt_h = dict(header["optim"])
-    t = opt_h.pop("t")
-    optim = Adam(params, **opt_h)
-    optim.t = t
     for k, (_, p) in enumerate(params):
         optim.m[k], offset = _take(raw, offset, p.shape, np.float64)
     for k, (_, p) in enumerate(params):

@@ -165,6 +165,28 @@ class TestExitCodes:
                            "--checkpoint", str(ckpt))
         assert code == 2 and "truncated" in err and err.count("\n") == 1
 
+    def test_malformed_nested_header_is_runtime_error(self, capsys, tmp_path, tiny_config):
+        ckpt = tmp_path / "m.grdn"
+        run(capsys, "train", "--config", tiny_config, "--checkpoint", str(ckpt),
+            "--epochs", "0")
+        raw = ckpt.read_bytes()
+        header_len = int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[16:16 + header_len])
+        header["mask"] = {}
+        blob = json.dumps(header).encode()
+        ckpt.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
+                         + raw[16 + header_len:])
+        code, _, err = run(capsys, "eval", "--config", tiny_config,
+                           "--checkpoint", str(ckpt))
+        assert code == 2 and "'mask'" in err and err.count("\n") == 1
+
+    def test_wrongly_typed_config_value_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**TINY, "train": {**TINY["train"], "epochs": 1.5}}))
+        code, _, err = run(capsys, "train", "--config", str(path),
+                           "--checkpoint", str(tmp_path / "m.grdn"))
+        assert code == 1 and "epochs must be int" in err and err.count("\n") == 1
+
     def test_negative_seed_rejected(self, capsys, tiny_config):
         code, _, err = run(capsys, "report", "--config", tiny_config,
                            "--seed", "-4")

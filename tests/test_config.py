@@ -34,6 +34,8 @@ class TestRunConfig:
             RunConfig.from_dict({"seed": -1})
         with pytest.raises(ConfigError, match="seed"):
             RunConfig.from_dict({"seed": "zero"})
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig.from_dict({"seed": True})
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError, match="JSON object"):
@@ -49,6 +51,33 @@ class TestRunConfig:
     def test_eval_scales_not_empty(self):
         with pytest.raises(ConfigError, match="'eval'"):
             RunConfig.from_dict({"eval": {"scales": []}})
+
+    def test_float_epochs_rejected(self):
+        with pytest.raises(ConfigError, match="'train': epochs must be int, got 1.5"):
+            RunConfig.from_dict({"train": {"epochs": 1.5}})
+
+    def test_float_batch_size_rejected(self):
+        with pytest.raises(ConfigError, match="'train': batch_size must be int, got 2.5"):
+            RunConfig.from_dict({"train": {"batch_size": 2.5}})
+
+    def test_bool_base_channels_rejected(self):
+        with pytest.raises(ConfigError, match="'grid': base_channels must be int, got True"):
+            RunConfig.from_dict({"grid": {"base_channels": True}})
+
+    def test_string_lr_rejected(self):
+        with pytest.raises(ConfigError, match="'train': lr must be float, got 'x'"):
+            RunConfig.from_dict({"train": {"lr": "x"}})
+
+    def test_non_positive_eval_scale_rejected(self):
+        with pytest.raises(ConfigError, match="'eval'.*positive"):
+            RunConfig.from_dict({"eval": {"scales": [-1]}})
+        with pytest.raises(ConfigError, match="'eval'.*positive"):
+            RunConfig.from_dict({"eval": {"scales": [1.0, 0]}})
+
+    def test_int_for_float_and_none_for_optional_accepted(self):
+        cfg = RunConfig.from_dict({"train": {"lr": 1, "snapshot_every": None},
+                                   "eval": {"scales": [1, 0.5]}})
+        assert cfg.train.lr == 1 and cfg.eval.scales == (1.0, 0.5)
 
 
 class TestLoadConfig:

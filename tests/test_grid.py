@@ -426,3 +426,113 @@ class TestGradientFlow:
         assert all(p.grad is None for p in off_path.values())
         on_path = dict(model.blocks[(0, 0)].named_parameters())
         assert all(p.grad is not None for p in on_path.values())
+
+
+class CountingOps:
+    """Stands in for ``gridseg.grid.ops``: forwards every attribute and adds
+    up the elements of each Tensor an op returns to the grid."""
+
+    def __init__(self):
+        self.elements = 0
+
+    def __getattr__(self, name):
+        fn = getattr(ops, name)
+        if not callable(fn) or isinstance(fn, type):
+            return fn
+
+        def counted(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            if isinstance(out, Tensor):
+                self.elements += out.size
+            return out
+
+        return counted
+
+
+def _tally_cases():
+    cases = []
+    for mask in ("full", "conv_deconv", "u_net", "frrn"):
+        for fusion in ("sum", "concat"):
+            for vres in (False, True):
+                spec = spec_3s(mask=mask, fusion=fusion, vertical_residual=vres)
+                cases.append(pytest.param(spec, False, id=f"{mask}-{fusion}-vres{int(vres)}"))
+    for mask in ("conv_deconv", "u_net", "frrn"):
+        for fusion in ("sum", "concat"):
+            cases.append(pytest.param(spec_3s(mask=mask, fusion=fusion), True,
+                                      id=f"{mask}-{fusion}-pruned"))
+    for fusion in ("sum", "concat"):
+        spec = GridSpec(3, ("sub", "up", "sub", "up"), 2, 3, fusion=fusion)
+        cases.append(pytest.param(spec, False, id=f"interleaved-{fusion}"))
+    cases.append(pytest.param(GridSpec(1, (), 2, 3), False, id="no-columns"))
+    return cases
+
+
+class TestPlan:
+    @pytest.mark.parametrize("spec,prune", _tally_cases())
+    def test_activation_tally_counts_every_op_output(self, monkeypatch, spec, prune):
+        hw = (12, 10)  # odd halvings: 12x10 -> 6x5 -> 3x3
+        model = build_grid(spec, hw, seed=2, prune_masked=prune)
+        counter = CountingOps()
+        monkeypatch.setattr("gridseg.grid.ops", counter)
+        x = np.ones((2, spec.image_channels, *hw), np.float32)
+        model.forward(x, training=False)
+        assert counter.elements == 2 * activation_tally(model)
+
+    def test_dropped_residual_adds_nothing(self, monkeypatch):
+        # dropping every residual unit runs the same ops, with the same
+        # result, as switching every residual gate off
+        from gridseg.dropout import DropMask
+        spec = spec_3s(fusion="concat")
+        dropping = build_grid(spec, (12, 10), seed=2)
+        mask = preset_mask("full", spec)
+        mask.residual_on[...] = False
+        gated = build_grid(spec, (12, 10), mask=mask, seed=2)
+        drop = DropMask({g: False for g in dropping.residual_gate_ids()}, 0.5, 0, 0)
+        x = np.random.default_rng(0).normal(size=(2, 3, 12, 10)).astype(np.float32)
+        counts = []
+        for model, kw in ((dropping, {"drop_mask": drop}), (gated, {})):
+            counter = CountingOps()
+            monkeypatch.setattr("gridseg.grid.ops", counter)
+            counts.append((counter, model.forward(x, training=True, **kw).data))
+        (a, out_a), (b, out_b) = counts
+        assert a.elements == b.elements
+        assert np.array_equal(out_a, out_b)
+
+    def test_v1_name_tables_pinned(self):
+        # 3 streams, 6 sub + 5 up columns, concat fusion with 1x1 vertical
+        # shortcuts; the digests are of the [name, shape] tables written
+        # into every v1 checkpoint header
+        import hashlib
+        import json
+        spec = GridSpec(3, symmetric_columns(6, 5), base_channels=2, num_classes=3,
+                        fusion="concat", vertical_residual=True)
+        model = build_grid(spec, (8, 8))
+        params = [[n, list(p.shape)] for n, p in model.named_parameters()]
+        buffers = [[n, list(b.shape)] for n, b in model.named_buffers()]
+        assert len(params) == 452 and len(buffers) == 170
+        assert hashlib.sha256(json.dumps(params).encode()).hexdigest() == \
+            "c57aaaa9190a06e40056fd984582bae1a99ea50a61d59b63d18e9eca118afbe1"
+        assert hashlib.sha256(json.dumps(buffers).encode()).hexdigest() == \
+            "d6de154428c1e01e6b9fd1466dc6d62bff2ba9b6c2182d2cefad1f0a1773e6b0"
+        names = [n for n, _ in params]
+        assert names[:4] == ["stem.bn.beta", "stem.bn.gamma", "stem.conv.bias",
+                             "stem.conv.weight"]
+        assert names[-2:] == ["head.bias", "head.weight"]
+        # blocks go in (row, col) order, so column 9 precedes column 10
+        assert names.index("block.0.9.res.bn1.beta") < names.index("block.0.10.res.bn1.beta")
+        assert [r for r in params if r[0].startswith("block.1.8.")] == [
+            ["block.1.8.proj.bias", [4]], ["block.1.8.proj.weight", [4, 8, 1, 1]],
+            ["block.1.8.res.bn1.beta", [4]], ["block.1.8.res.bn1.gamma", [4]],
+            ["block.1.8.res.bn2.beta", [4]], ["block.1.8.res.bn2.gamma", [4]],
+            ["block.1.8.res.conv1.bias", [4]], ["block.1.8.res.conv1.weight", [4, 4, 3, 3]],
+            ["block.1.8.res.conv2.bias", [4]], ["block.1.8.res.conv2.weight", [4, 4, 3, 3]],
+            ["block.1.8.vert.bn.beta", [8]], ["block.1.8.vert.bn.gamma", [8]],
+            ["block.1.8.vert.conv.bias", [4]], ["block.1.8.vert.conv.weight", [8, 4, 3, 3]],
+            ["block.1.8.vert.shortcut.bias", [4]],
+            ["block.1.8.vert.shortcut.weight", [8, 4, 1, 1]],
+        ]
+        assert [r for r in buffers if r[0].startswith("block.1.8.")] == [
+            ["block.1.8.res.bn1.running_mean", [4]], ["block.1.8.res.bn1.running_var", [4]],
+            ["block.1.8.res.bn2.running_mean", [4]], ["block.1.8.res.bn2.running_var", [4]],
+            ["block.1.8.vert.bn.running_mean", [8]], ["block.1.8.vert.bn.running_var", [8]],
+        ]

@@ -3,9 +3,13 @@
 import dataclasses
 import json
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridseg import GridSpec, build_grid, symmetric_columns
 from gridseg.data import AugmentConfig, Scene, generate_dataset
@@ -105,6 +109,28 @@ class TestTraining:
                           TrainConfig(epochs=1, batch_size=2), seed=0, epoch=0)
         assert set(rec) == {"epoch", "steps", "skipped", "loss", "lr"}
         assert rec["steps"] == 1 and rec["epoch"] == 0
+
+
+def split_checkpoint(raw: bytes) -> tuple[dict, bytes]:
+    header_len = struct.unpack("<Q", raw[8:16])[0]
+    return json.loads(raw[16:16 + header_len]), raw[16 + header_len:]
+
+
+def join_checkpoint(header: dict, payload: bytes) -> bytes:
+    blob = json.dumps(header).encode()
+    return b"GRDN" + struct.pack("<IQ", 1, len(blob)) + blob + payload
+
+
+def _valid_checkpoint() -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "m.grdn")
+        model = tiny_model()
+        save_checkpoint(str(path), model, make_optimizer(model, TrainConfig(epochs=1)), 5, 2)
+        return path.read_bytes()
+
+
+VALID_CHECKPOINT = _valid_checkpoint()
+HEADER_END = 16 + struct.unpack("<Q", VALID_CHECKPOINT[8:16])[0]
 
 
 class TestCheckpoints:
@@ -236,6 +262,41 @@ class TestCheckpoints:
             write(blob)
             with pytest.raises(ValueError, match=message):
                 load_checkpoint(bad)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda h: h.update(mask={}), "'mask' must be an object"),
+        (lambda h: h["optim"].pop("t"), "'optim' must be an object"),
+        (lambda h: h["spec"].pop("n_streams"), "'spec' must be an object"),
+        (lambda h: h.update(train={}), "'train' must be an object"),
+        (lambda h: h["train"].update(epochs_done=-1), "non-negative integers"),
+        (lambda h: h.update(input_hw=[8]), "input_hw must be"),
+        (lambda h: h.update(init_seed=0.5), "non-negative integers"),
+        (lambda h: h["optim"].update(lr="x"), "malformed checkpoint header"),
+        (lambda h: h["spec"].update(n_streams="x"), "malformed checkpoint header"),
+    ], ids=["mask_empty", "optim_without_t", "spec_without_n_streams", "train_empty",
+            "negative_epochs_done", "one_side_input_hw", "float_init_seed",
+            "lr_not_a_number", "n_streams_not_an_int"])
+    def test_malformed_nested_value_rejected(self, tmp_path, edit, message):
+        header, payload = split_checkpoint(VALID_CHECKPOINT)
+        edit(header)
+        path = tmp_path / "m.grdn"
+        path.write_bytes(join_checkpoint(header, payload))
+        with pytest.raises(ValueError, match=message) as info:
+            load_checkpoint(str(path))
+        assert "\n" not in str(info.value)
+
+    @settings(max_examples=150, deadline=None)
+    @given(pos=st.integers(4, HEADER_END - 1), byte=st.integers(0, 255))
+    def test_one_header_byte_overwritten(self, pos, byte):
+        raw = bytearray(VALID_CHECKPOINT)
+        raw[pos] = byte
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "m.grdn")
+            path.write_bytes(raw)
+            try:
+                load_checkpoint(str(path))
+            except ValueError:
+                pass  # any other exception type fails the test
 
     def test_float64_model_rejected(self, tmp_path):
         model = build_grid(SPEC, (8, 8), dtype=np.float64)
