@@ -8,7 +8,6 @@ from .ops import (
     batch_norm,
     concat_channels,
     conv2d,
-    conv2d_down,
     conv_params,
     deconv2d_up,
     relu,
@@ -42,7 +41,6 @@ __all__ = [
     "batch_norm",
     "concat_channels",
     "conv2d",
-    "conv2d_down",
     "conv_params",
     "deconv2d_up",
     "relu",

@@ -4,19 +4,22 @@ Parsing is strict: any key that does not correspond to a dataclass field
 is rejected with the section it appeared in, so typos fail fast instead
 of silently falling back to defaults, and every value must fit its
 field's annotation (an int field takes no float or bool, a float field
-takes ints). Sections may be given partially; missing fields keep their
-defaults.
+takes ints but no infinity or NaN). ``eval.categories`` must put each of
+the grid's classes in exactly one category. Sections may be given
+partially; missing fields keep their defaults.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import typing
 from dataclasses import dataclass, field, fields
 
 from .data import AugmentConfig
 from .grid import GridSpec, symmetric_columns
+from .metrics import CategoryMap
 from .train import TrainConfig
 
 
@@ -41,7 +44,7 @@ class DataConfig:
 @dataclass(frozen=True)
 class EvalConfig:
     scales: tuple[float, ...] = (1.0,)
-    categories: dict | None = None
+    categories: dict[str, list[int]] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
@@ -94,6 +97,11 @@ class RunConfig:
         if not _fits(seed, int) or seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         out["seed"] = seed
+        if out["eval"].categories is not None:
+            try:
+                CategoryMap(out["eval"].categories, out["grid"].num_classes)
+            except ValueError as e:
+                raise ConfigError(f"section 'eval': categories: {e}") from None
         return cls(**out)
 
 
@@ -118,13 +126,17 @@ def _merge_section(name: str, base, d, cls):
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value fits a field annotation."""
-    if hint is float:
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    if hint is float:  # finite, and an int must convert to a float
+        return (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and abs(value) <= sys.float_info.max)
     if hint is int:
         return isinstance(value, int) and not isinstance(value, bool)
-    args = typing.get_args(hint)
-    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+    args, origin = typing.get_args(hint), typing.get_origin(hint)
+    if origin in (tuple, list):  # tuple[X, ...] or list[X]
         return isinstance(value, (list, tuple)) and all(_fits(v, args[0]) for v in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _fits(k, args[0]) and _fits(v, args[1]) for k, v in value.items())
     if args:  # a union such as int | None
         return any(_fits(value, a) for a in args)
     return isinstance(value, hint)

@@ -335,8 +335,8 @@ class DownUnit(_Unit):
             self.shortcut = ops.conv_params(rng, 2 * in_channels, in_channels, 1, 1, 2, (0, 0), dtype)
 
     def forward(self, x: Tensor, training: bool, tape: Tape | None) -> Tensor:
-        y = ops.conv2d_down(ops.relu(ops.batch_norm(x, self.bn, training, tape), tape),
-                            self.conv, tape)
+        y = ops.conv2d(ops.relu(ops.batch_norm(x, self.bn, training, tape), tape),
+                       self.conv, tape)
         if self.shortcut is not None:
             y = ops.add(y, ops.conv2d(x, self.shortcut, tape), tape)
         return y

@@ -136,18 +136,22 @@ class CategoryMap:
 
     def __init__(self, groups: dict[str, list[int]], num_classes: int):
         self.names = sorted(groups)
-        self.remap = np.full(num_classes, -1, np.int64)
+        owner: dict[int, int] = {}
         for k, name in enumerate(self.names):
             for cls in groups[name]:
                 if not 0 <= cls < num_classes:
                     raise ValueError(f"category {name!r} lists class {cls} "
                                      f"outside [0, {num_classes})")
-                if self.remap[cls] != -1:
+                if cls in owner:
                     raise ValueError(f"class {cls} appears in two categories")
-                self.remap[cls] = k
-        missing = np.nonzero(self.remap == -1)[0]
-        if missing.size:
-            raise ValueError(f"classes {missing.tolist()} belong to no category")
+                owner[cls] = k
+        if len(owner) < num_classes:
+            # names ten at most, so a huge class count costs no huge list
+            first = [c for c in range(min(num_classes, len(owner) + 10)) if c not in owner][:10]
+            more = num_classes - len(owner) - len(first)
+            raise ValueError(f"classes {first}{f' and {more} more' if more else ''} "
+                             "belong to no category")
+        self.remap = np.array([owner[c] for c in range(num_classes)], np.int64)
 
     @property
     def num_categories(self) -> int:

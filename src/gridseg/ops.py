@@ -14,16 +14,47 @@ sub-pixel form of a transposed convolution, Shi et al., arXiv
 1609.07009). No multiply-add touches an inserted zero. The same
 primitive serves both the upsampling forward pass and the
 input-gradient of every convolution; stride 1 is its one-phase case.
+
+Every op but batch norm states one gradient map per input, from the
+output gradient to that input's gradient, and hands them to `_result`,
+the one place the tape-recording rule is written: nothing runs when the
+output got no gradient, and a map runs only for an input that needs one.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Tape, Tensor
+
+
+def _result(y: np.ndarray, inputs, tape: Tape | None, grads) -> Tensor:
+    """``Tensor(y)`` for an op over ``inputs``, its backward recorded on ``tape``.
+
+    ``grads[k]`` maps the output gradient to the gradient of ``inputs[k]``.
+    Ops pass ``tape and (...)``, so an untaped call builds no maps.
+    """
+    out = Tensor(y)
+    for t in inputs:  # a loop, not any(): no generator on the untaped path
+        if t.requires_grad:
+            out.requires_grad = True
+            break
+    if tape is not None and out.requires_grad:
+
+        def _bwd():
+            if out.grad is None:
+                return
+            for t, grad in zip(inputs, grads):
+                if t.requires_grad:
+                    t.accumulate_grad(grad(out.grad))
+
+        tape.record(_bwd)
+    return out
+
 
 # ---------------------------------------------------------------------------
 # correlation primitives
@@ -110,7 +141,8 @@ def _adjoint_corr2d(x, w, stride, padding, out_hw) -> np.ndarray:
     1609.07009). The window carries zeros only where it runs past the
     border of x; a phase with no taps (a 1x1 kernel at stride 2) stays
     zero. Any output-padding implied by out_hw is covered by the same
-    windows.
+    windows. At stride 1 the one phase is the whole output and is
+    returned as it comes from `_corr2d`.
     """
     n, co, h, w_in = x.shape
     _, ci, kh, kw = w.shape
@@ -122,6 +154,10 @@ def _adjoint_corr2d(x, w, stride, padding, out_hw) -> np.ndarray:
             f"target {tuple(out_hw)} not reachable from input {(h, w_in)} "
             f"with kernel {(kh, kw)}, stride {stride}, padding {tuple(padding)}"
         )
+    if stride == 1:  # phase (0, 0) of `_phases`: o0 = 0, q0 = padding
+        ph, pw = padding
+        return _corr2d(_window(x, ph - kh + 1, ph + oh, pw - kw + 1, pw + ow),
+                       w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, (0, 0))
     y = np.zeros((n, ci, oh, ow), dtype=np.result_type(x.dtype, w.dtype))
     for rh, o0h, h0, h1 in _phases(oh, kh, stride, padding[0]):
         for rw, o0w, w0, w1 in _phases(ow, kw, stride, padding[1]):
@@ -144,7 +180,7 @@ class ConvParams:
     ``weight`` is always stored in forward-convolution orientation
     (out_c, in_c, kh, kw). For :func:`deconv2d_up`, which applies the
     adjoint map, the tensor flows out_c -> in_c and ``bias`` holds in_c
-    entries; for :func:`conv2d` / :func:`conv2d_down` it holds out_c.
+    entries; for :func:`conv2d` it holds out_c.
     """
 
     weight: Tensor
@@ -178,30 +214,11 @@ def conv2d(x: Tensor, params: ConvParams, tape: Tape | None = None) -> Tensor:
     if y.shape[2] < 1 or y.shape[3] < 1:
         raise ValueError(f"conv2d output collapsed to {y.shape} from input {x.shape}")
     y += b.data.reshape(1, -1, 1, 1)
-    out = Tensor(y, requires_grad=x.requires_grad or w.requires_grad or b.requires_grad)
-    if tape is not None and out.requires_grad:
-        in_hw = x.shape[2:]
-
-        def _bwd():
-            g = out.grad
-            if g is None:
-                return
-            if x.requires_grad:
-                x.accumulate_grad(_adjoint_corr2d(g, w.data, stride, pad, in_hw))
-            if w.requires_grad:
-                w.accumulate_grad(_corr2d_weight_grad(x.data, g, stride, pad, kh, kw))
-            if b.requires_grad:
-                b.accumulate_grad(g.sum(axis=(0, 2, 3)))
-
-        tape.record(_bwd)
-    return out
-
-
-def conv2d_down(x: Tensor, params: ConvParams, tape: Tape | None = None) -> Tensor:
-    """Resolution-halving convolution: stride 2, output ceil(in/2) per axis."""
-    if params.stride != 2:
-        raise ValueError(f"conv2d_down requires stride 2, got {params.stride}")
-    return conv2d(x, params, tape)
+    return _result(y, (x, w, b), tape, tape and (
+        lambda g: _adjoint_corr2d(g, w.data, stride, pad, x.shape[2:]),
+        lambda g: _corr2d_weight_grad(x.data, g, stride, pad, kh, kw),
+        lambda g: g.sum(axis=(0, 2, 3)),
+    ))
 
 
 def deconv2d_up(x: Tensor, params: ConvParams, target_hw, tape: Tape | None = None) -> Tensor:
@@ -229,22 +246,11 @@ def deconv2d_up(x: Tensor, params: ConvParams, target_hw, tape: Tape | None = No
             )
     y = _adjoint_corr2d(x.data, w.data, stride, pad, (th, tw))
     y += b.data.reshape(1, -1, 1, 1)
-    out = Tensor(y, requires_grad=x.requires_grad or w.requires_grad or b.requires_grad)
-    if tape is not None and out.requires_grad:
-
-        def _bwd():
-            g = out.grad
-            if g is None:
-                return
-            if x.requires_grad:
-                x.accumulate_grad(_corr2d(g, w.data, stride, pad))
-            if w.requires_grad:
-                w.accumulate_grad(_corr2d_weight_grad(g, x.data, stride, pad, kh, kw))
-            if b.requires_grad:
-                b.accumulate_grad(g.sum(axis=(0, 2, 3)))
-
-        tape.record(_bwd)
-    return out
+    return _result(y, (x, w, b), tape, tape and (
+        lambda g: _corr2d(g, w.data, stride, pad),
+        lambda g: _corr2d_weight_grad(g, x.data, stride, pad, kh, kw),
+        lambda g: g.sum(axis=(0, 2, 3)),
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +304,7 @@ def batch_norm(x: Tensor, bn: BatchNorm, training: bool, tape: Tape | None = Non
     y = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
     out = Tensor(y, requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad)
     if tape is not None and out.requires_grad:
+        # not `_result`: all three gradients share two reductions, each computed once
 
         def _bwd():
             g = out.grad
@@ -330,37 +337,14 @@ def batch_norm(x: Tensor, bn: BatchNorm, training: bool, tape: Tape | None = Non
 
 
 def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
-    out = Tensor(np.maximum(x.data, 0), requires_grad=x.requires_grad)
-    if tape is not None and out.requires_grad:
-        mask = x.data > 0  # gradient at exactly 0 is 0
-
-        def _bwd():
-            g = out.grad
-            if g is None:
-                return
-            x.accumulate_grad(g * mask)
-
-        tape.record(_bwd)
-    return out
+    # the gradient at exactly 0 is 0
+    return _result(np.maximum(x.data, 0), (x,), tape, tape and (lambda g: g * (x.data > 0),))
 
 
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor(a.data + b.data, requires_grad=a.requires_grad or b.requires_grad)
-    if tape is not None and out.requires_grad:
-
-        def _bwd():
-            g = out.grad
-            if g is None:
-                return
-            if a.requires_grad:
-                a.accumulate_grad(g)
-            if b.requires_grad:
-                b.accumulate_grad(g)
-
-        tape.record(_bwd)
-    return out
+    return _result(a.data + b.data, (a, b), tape, tape and (lambda g: g,) * 2)
 
 
 def concat_channels(xs: list[Tensor], tape: Tape | None = None) -> Tensor:
@@ -370,21 +354,9 @@ def concat_channels(xs: list[Tensor], tape: Tape | None = None) -> Tensor:
     for t in xs[1:]:
         if t.shape[0] != ref[0] or t.shape[2:] != ref[2:]:
             raise ValueError(f"concat_channels layout mismatch: {ref} vs {t.shape}")
-    out = Tensor(np.concatenate([t.data for t in xs], axis=1),
-                 requires_grad=any(t.requires_grad for t in xs))
-    if tape is not None and out.requires_grad:
-        splits = np.cumsum([t.shape[1] for t in xs])[:-1]
-
-        def _bwd():
-            g = out.grad
-            if g is None:
-                return
-            for t, piece in zip(xs, np.split(g, splits, axis=1)):
-                if t.requires_grad:
-                    t.accumulate_grad(piece)
-
-        tape.record(_bwd)
-    return out
+    ends = list(itertools.accumulate(t.shape[1] for t in xs))
+    return _result(np.concatenate([t.data for t in xs], axis=1), xs, tape,
+                   tape and [lambda g, a=a, b=b: g[:, a:b] for a, b in zip([0] + ends, ends)])
 
 
 # ---------------------------------------------------------------------------
@@ -421,20 +393,12 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_label: int 
     idx = np.where(valid, labels, 0)[:, None]
     picked = np.take_along_axis(z, idx, axis=1)[:, 0]
     loss = ((lse - picked) * valid).sum() / count
-    out = Tensor(np.asarray(loss, dtype=z.dtype))
-    out.requires_grad = logits.requires_grad
-    if tape is not None and out.requires_grad:
 
-        def _bwd():
-            g = out.grad
-            if g is None:
-                return
-            soft = ez / se
-            scale = valid / count
-            dz = soft * scale[:, None]
-            onehot = np.take_along_axis(dz, idx, axis=1)
-            np.put_along_axis(dz, idx, onehot - scale[:, None], axis=1)
-            logits.accumulate_grad(dz * g)
+    def dlogits(g):
+        scale = valid / count
+        dz = (ez / se) * scale[:, None]
+        onehot = np.take_along_axis(dz, idx, axis=1)
+        np.put_along_axis(dz, idx, onehot - scale[:, None], axis=1)
+        return dz * g
 
-        tape.record(_bwd)
-    return out
+    return _result(np.asarray(loss, dtype=z.dtype), (logits,), tape, tape and (dlogits,))

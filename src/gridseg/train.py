@@ -10,12 +10,15 @@ never stopped.
 Checkpoints are a single file: magic ``GRDN``, a version word, a JSON
 header (model spec, connection mask, shape tables, optimizer and
 progress state), then raw little-endian float32 parameters and batch
-norm statistics followed by float64 Adam moments.
+norm statistics followed by float64 Adam moments. A save writes the
+file beside its target as ``<path>.tmp``, syncs it and renames it over
+the target, so a crash mid-write leaves the previous checkpoint whole.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass, fields
 
@@ -199,18 +202,27 @@ def save_checkpoint(path: str, model: GridModel, optim: Adam, train_seed: int,
         "train": {"seed": int(train_seed), "epochs_done": int(epochs_done)},
     }
     blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<IQ", _VERSION, len(blob)))
-        f.write(blob)
-        for _, p in params:
-            f.write(np.ascontiguousarray(p.data, np.float32).tobytes())
-        for _, b in buffers:
-            f.write(np.ascontiguousarray(b, np.float32).tobytes())
-        for m in optim.m:
-            f.write(np.ascontiguousarray(m, np.float64).tobytes())
-        for v in optim.v:
-            f.write(np.ascontiguousarray(v, np.float64).tobytes())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(_MAGIC)
+            f.write(struct.pack("<IQ", _VERSION, len(blob)))
+            f.write(blob)
+            for _, p in params:
+                f.write(np.ascontiguousarray(p.data, np.float32).tobytes())
+            for _, b in buffers:
+                f.write(np.ascontiguousarray(b, np.float32).tobytes())
+            for m in optim.m:
+                f.write(np.ascontiguousarray(m, np.float64).tobytes())
+            for v in optim.v:
+                f.write(np.ascontiguousarray(v, np.float64).tobytes())
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _take(raw: bytes, offset: int, shape, dtype) -> tuple[np.ndarray, int]:

@@ -187,6 +187,14 @@ class TestExitCodes:
                            "--checkpoint", str(tmp_path / "m.grdn"))
         assert code == 1 and "epochs must be int" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("categories", [{"a": "x"}, {"a": [0.5]}, {"a": [0, 1, 2, 4]}])
+    def test_malformed_categories_are_usage_error(self, capsys, tmp_path, categories):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**TINY, "eval": {"categories": categories}}))
+        code, _, err = run(capsys, "eval", "--config", str(path),
+                           "--checkpoint", str(tmp_path / "m.grdn"))
+        assert code == 1 and "categories" in err and err.count("\n") == 1
+
     def test_negative_seed_rejected(self, capsys, tiny_config):
         code, _, err = run(capsys, "report", "--config", tiny_config,
                            "--seed", "-4")

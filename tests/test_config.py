@@ -1,8 +1,16 @@
 """Strict run-configuration parsing tests."""
 
-import pytest
+import dataclasses
 
-from gridseg.config import ConfigError, RunConfig, load_config
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gridseg.config import ConfigError, DataConfig, EvalConfig, RunConfig, load_config
+from gridseg.data import AugmentConfig
+from gridseg.grid import GridSpec
+from gridseg.metrics import CategoryMap
+from gridseg.train import TrainConfig
 
 
 class TestRunConfig:
@@ -74,10 +82,80 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="'eval'.*positive"):
             RunConfig.from_dict({"eval": {"scales": [1.0, 0]}})
 
+    @pytest.mark.parametrize("doc", [
+        {"eval": {"scales": [10**400]}}, {"train": {"lr": float("nan")}},
+        {"train": {"eps": float("inf")}}, {"grid": {"dropout_p": -10**400}},
+    ])
+    def test_non_finite_float_rejected(self, doc):
+        with pytest.raises(ConfigError, match="must be (tuple\\[)?float"):
+            RunConfig.from_dict(doc)
+
     def test_int_for_float_and_none_for_optional_accepted(self):
         cfg = RunConfig.from_dict({"train": {"lr": 1, "snapshot_every": None},
                                    "eval": {"scales": [1, 0.5]}})
         assert cfg.train.lr == 1 and cfg.eval.scales == (1.0, 0.5)
+
+    @pytest.mark.parametrize("categories", [
+        {"a": "x"}, {"a": None}, {"a": [0.5]}, {"a": [True, 0, 2, 3]}, [[0, 1, 2, 3]],
+    ])
+    def test_mistyped_categories_rejected(self, categories):
+        with pytest.raises(ConfigError, match="'eval': categories must be dict"):
+            RunConfig.from_dict({"eval": {"categories": categories}})
+
+    @pytest.mark.parametrize("categories, message", [
+        ({"a": [0, 1, 2, 4]}, "class 4 outside"),
+        ({"a": [0, 1, 2], "b": [2, 3]}, "class 2 appears in two"),
+        ({"a": [0, 1], "b": [3]}, r"classes \[2\] belong to no category"),
+        ({}, "no category"),
+    ])
+    def test_categories_must_cover_each_class_once(self, categories, message):
+        with pytest.raises(ConfigError, match="'eval': categories: .*" + message):
+            RunConfig.from_dict({"eval": {"categories": categories}})
+
+    def test_categories_checked_against_configured_classes(self):
+        categories = {"bg": [0], "fg": [1, 2, 3, 4, 5]}
+        with pytest.raises(ConfigError, match="outside"):
+            RunConfig.from_dict({"eval": {"categories": categories}})
+        cfg = RunConfig.from_dict({"grid": {"num_classes": 6},
+                                   "eval": {"categories": categories}})
+        assert cfg.eval.categories == categories
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
+SECTIONS = {"grid": GridSpec, "data": DataConfig, "augment": AugmentConfig,
+            "train": TrainConfig, "eval": EvalConfig}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+# category groups are drawn often enough to reach the CategoryMap check
+category_like = st.dictionaries(st.text(max_size=3),
+                                st.lists(st.integers(-1, 6), max_size=5), max_size=4)
+
+
+def section(name):
+    keys = st.sampled_from([f.name for f in dataclasses.fields(SECTIONS[name])])
+    return st.dictionaries(keys, json_values | category_like, max_size=5) | json_values
+
+
+config_documents = st.fixed_dictionaries(
+    {}, optional={**{name: section(name) for name in SECTIONS}, "seed": json_values})
+
+
+@settings(max_examples=400, deadline=None)
+@given(config_documents)
+def test_random_documents_parse_or_raise_config_error(doc):
+    """Any document over the real section and field names either fails with
+    ConfigError or parses to a config whose categories are usable."""
+    try:
+        cfg = RunConfig.from_dict(doc)
+    except ConfigError:
+        return
+    if cfg.eval.categories is not None:
+        CategoryMap(cfg.eval.categories, cfg.grid.num_classes)
 
 
 class TestLoadConfig:

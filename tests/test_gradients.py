@@ -10,7 +10,6 @@ from gridseg import (
     batch_norm,
     concat_channels,
     conv2d,
-    conv2d_down,
     deconv2d_up,
     finite_diff_gradcheck,
     relu,
@@ -52,7 +51,7 @@ def test_conv2d_down_gradients():
     params = ConvParams(w, b, stride=2, padding=(1, 1))
 
     def loss_fn(tape):
-        return softmax_cross_entropy(conv2d_down(x, params, tape), labels, tape=tape)
+        return softmax_cross_entropy(conv2d(x, params, tape), labels, tape=tape)
 
     check(loss_fn, [("x", x), ("w", w), ("b", b)], n_coords=80)
 

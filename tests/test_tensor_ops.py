@@ -13,7 +13,6 @@ from gridseg import (
     batch_norm,
     concat_channels,
     conv2d,
-    conv2d_down,
     deconv2d_up,
     relu,
     softmax_cross_entropy,
@@ -148,7 +147,7 @@ class TestConv2dDown:
         for _ in range(4):
             params = make_conv(np.zeros((1, 1, 3, 3), np.float32), np.zeros(1, np.float32),
                                2, (1, 1))
-            x = conv2d_down(x, params)
+            x = conv2d(x, params)
             sizes.append(x.shape[2:])
         assert sizes == [(200, 200), (100, 100), (50, 50), (25, 25)]
 
@@ -157,13 +156,8 @@ class TestConv2dDown:
         for size in (5, 6, 7, 13, 25):
             x = Tensor(np.zeros((1, 1, size, size)))
             params = make_conv(np.zeros((1, 1, 3, 3)), np.zeros(1), 2, (1, 1))
-            out = conv2d_down(x, params)
+            out = conv2d(x, params)
             assert out.shape[2] == (size + 1) // 2
-
-    def test_stride_one_rejected(self):
-        params = make_conv(np.zeros((1, 1, 3, 3)), np.zeros(1), 1, (1, 1))
-        with pytest.raises(ValueError, match="stride 2"):
-            conv2d_down(Tensor(np.zeros((1, 1, 4, 4))), params)
 
 
 class TestDeconv2dUp:
@@ -204,7 +198,7 @@ class TestDeconv2dUp:
         up = ConvParams(Tensor(w), Tensor(zeros_up), stride=2, padding=(1, 1))
         for hw in [(8, 8), (9, 11), (16, 16)]:
             x = rng.normal(size=(2, 3, *hw))
-            ax = conv2d_down(Tensor(x), down).data
+            ax = conv2d(Tensor(x), down).data
             y = rng.normal(size=ax.shape)
             aty = deconv2d_up(Tensor(y), up, hw).data
             lhs = float((ax * y).sum())
@@ -387,3 +381,63 @@ class TestTape:
         loss = softmax_cross_entropy(y, np.zeros((1, 2, 2), dtype=int), tape=tape)
         backward(tape, loss)
         assert unused.grad is None
+
+
+# ---------------------------------------------------------------------------
+# recording rule
+# ---------------------------------------------------------------------------
+
+def _record_each_op(tape, rng):
+    """Every recorded op kind once, each over fresh inputs that take gradients;
+    returns the inputs of every op."""
+    def t(*shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    conv = make_conv(rng.normal(size=(2, 2, 3, 3)), np.zeros(2), 2, (1, 1))
+    up = make_conv(rng.normal(size=(2, 2, 3, 3)), np.zeros(2), 2, (1, 1))
+    bn = BatchNorm(2, dtype=np.float64)
+    x_conv, x_up, x_bn, x_relu, a, b, c, d = (t(2, 2, 4, 4), t(2, 2, 2, 2), t(2, 2, 4, 4),
+                                             t(2, 2, 4, 4), t(2, 2, 4, 4), t(2, 2, 4, 4),
+                                             t(2, 1, 4, 4), t(2, 3, 4, 4))
+    conv2d(x_conv, conv, tape)
+    deconv2d_up(x_up, up, (4, 4), tape)
+    batch_norm(x_bn, bn, True, tape)
+    relu(x_relu, tape)
+    add(a, b, tape)
+    concat_channels([c, d], tape)
+    return [x_conv, conv.weight, conv.bias, x_up, up.weight, up.bias,
+            x_bn, bn.gamma, bn.beta, x_relu, a, b, c, d]
+
+
+class TestRecordingRule:
+    def test_input_without_grad_costs_no_adjoint(self, monkeypatch):
+        """A conv over an image that takes no gradient never maps its output
+        gradient back to the image."""
+        import gridseg.ops
+
+        def refuse(*args):
+            raise AssertionError("_adjoint_corr2d called for an input without grad")
+
+        monkeypatch.setattr(gridseg.ops, "_adjoint_corr2d", refuse)
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=(2, 3, 5, 5)))
+        params = make_conv(rng.normal(size=(4, 3, 3, 3)), np.zeros(4), 1, (1, 1))
+        tape = Tape()
+        loss = softmax_cross_entropy(conv2d(x, params, tape),
+                                     rng.integers(0, 4, (2, 5, 5)), tape=tape)
+        backward(tape, loss)
+        assert x.grad is None
+        assert params.weight.grad is not None and params.bias.grad is not None
+
+    def test_output_without_grad_leaves_inputs_untouched(self):
+        """Ops whose outputs feed no loss leave every input's grad at None,
+        while the loss branch recorded on the same tape still propagates."""
+        rng = np.random.default_rng(22)
+        tape = Tape()
+        inputs = _record_each_op(tape, rng)
+        z = Tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
+        loss = softmax_cross_entropy(relu(z, tape), np.zeros((1, 3, 3), dtype=int),
+                                     tape=tape)
+        backward(tape, loss)
+        assert z.grad is not None
+        assert all(t.grad is None for t in inputs)

@@ -151,6 +151,21 @@ class TestCheckpoints:
         for a, b in zip(optim.m + optim.v, lopt.m + lopt.v):
             assert np.array_equal(a, b)
 
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        model = tiny_model(seed=3)
+        optim = make_optimizer(model, TrainConfig(epochs=1))
+        path = tmp_path / "model.grdn"
+        save_checkpoint(str(path), model, optim, train_seed=8, epochs_done=1)
+        before = path.read_bytes()
+        # header, parameters and buffers are written before this moment fails
+        optim.m[0] = np.array(["not a number"])
+        with pytest.raises(ValueError):
+            save_checkpoint(str(path), model, optim, train_seed=8, epochs_done=2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.grdn"]
+        _, _, info = load_checkpoint(str(path))
+        assert info == {"seed": 8, "epochs_done": 1}
+
     def test_resume_matches_straight_run(self, tmp_path):
         scenes = scenes16(6)
         cfg = TrainConfig(epochs=4, batch_size=2, lr=0.01,
