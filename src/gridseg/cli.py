@@ -209,7 +209,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as e:
         print(f"gridseg: {e}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, RuntimeError, GradientError) as e:
+    except (OSError, ValueError, RuntimeError, GradientError, MemoryError) as e:
         print(f"gridseg: {e}", file=sys.stderr)
         return 2
 

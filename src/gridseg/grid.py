@@ -99,6 +99,11 @@ class GridSpec:
     def n_up(self) -> int:
         return sum(1 for k in self.column_kinds if k == UP)
 
+    @property
+    def min_side(self) -> int:
+        """Smallest input side that every stream can halve down to."""
+        return 1 << (self.n_streams - 1)
+
     def stream_channels(self, i: int) -> int:
         return self.base_channels * (1 << i)
 
@@ -428,11 +433,10 @@ class GridModel:
     def __init__(self, spec: GridSpec, input_hw, mask: ConnectionMask | None = None,
                  seed: int = 0, dtype=np.float32, prune_masked: bool = False):
         h, w = int(input_hw[0]), int(input_hw[1])
-        min_side = 1 << (spec.n_streams - 1)
-        if h < min_side or w < min_side:
+        if min(h, w) < spec.min_side:
             raise ValueError(
                 f"input {(h, w)} too small for {spec.n_streams} streams; "
-                f"need at least {min_side} per side"
+                f"need at least {spec.min_side} per side"
             )
         if mask is None:
             mask = preset_mask(spec.mask, spec)
@@ -531,9 +535,8 @@ class GridModel:
         if drop_mask is not None and not training:
             raise ValueError("drop_mask is a training-mode feature; eval keeps every unit")
         in_hw = x.shape[2:]
-        min_side = 1 << (self.spec.n_streams - 1)
-        if min(in_hw) < min_side:
-            raise ValueError(f"input {in_hw} smaller than minimum side {min_side}")
+        if min(in_hw) < self.spec.min_side:
+            raise ValueError(f"input {in_hw} smaller than minimum side {self.spec.min_side}")
         hw = [self.stream_hw(i, in_hw) for i in range(self.spec.n_streams)]
 
         stem = ops.conv2d(ops.batch_norm(x, self.stem_bn, training, tape), self.stem_conv, tape)

@@ -7,7 +7,8 @@ order. The instance-weighted variant rescales each ground-truth pixel by
 1), which stops large instances from dominating the score; average sizes
 are measured over the whole evaluation set first, so this too is order
 independent. Classes never observed are excluded from means rather than
-scored as zero.
+scored as zero. Classes and categories are scored by one path; category
+scores are class scores with every label and prediction mapped first.
 
 Multi-scale prediction runs the network on rescaled copies of the image,
 maps each argmax back to full resolution with nearest-neighbor sampling,
@@ -50,21 +51,34 @@ class ConfusionMatrix:
     def iou(self) -> np.ndarray:
         """Per-class IoU; classes with no pixels anywhere come out NaN."""
         tp = np.diag(self.counts).astype(np.float64)
-        fp = self.counts.sum(0) - tp
-        fn = self.counts.sum(1) - tp
-        denom = tp + fp + fn
-        with np.errstate(invalid="ignore"):
-            out = np.where(denom > 0, tp / np.where(denom > 0, denom, 1), np.nan)
-        return out
+        return _ratio(tp, self.counts.sum(0) - tp, self.counts.sum(1) - tp)
 
     def mean_iou(self) -> float:
-        vals = self.iou()
-        present = ~np.isnan(vals)
-        return float(vals[present].mean()) if present.any() else float("nan")
+        return _mean_present(self.iou())
 
     def pixel_accuracy(self) -> float:
         total = self.counts.sum()
         return float(np.diag(self.counts).sum() / total) if total else float("nan")
+
+
+def _ratio(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray) -> np.ndarray:
+    """tp / (tp + fp + fn) per class, NaN where the denominator is 0."""
+    denom = tp + fp + fn
+    return np.divide(tp, denom, out=np.full(denom.shape, np.nan), where=denom > 0)
+
+
+def _mean_present(vals: np.ndarray) -> float:
+    """Mean over the non-NaN entries; NaN if there are none."""
+    present = ~np.isnan(vals)
+    return float(vals[present].mean()) if present.any() else float("nan")
+
+
+def _instances(truth, instances, num_classes: int, ignore_label: int):
+    """Yield (non-ignored pixel mask, majority class) per instance id > 0."""
+    inside = (truth != ignore_label) & (instances > 0)
+    for inst in np.unique(instances[inside]):
+        where = inside & (instances == inst)
+        yield where, int(np.bincount(truth[where], minlength=num_classes).argmax())
 
 
 def instance_average_sizes(scenes: list[Scene], num_classes: int,
@@ -73,19 +87,11 @@ def instance_average_sizes(scenes: list[Scene], num_classes: int,
     pixels = np.zeros(num_classes, np.int64)
     counts = np.zeros(num_classes, np.int64)
     for scene in scenes:
-        for inst in np.unique(scene.instances):
-            if inst == 0:
-                continue
-            where = scene.instances == inst
-            labels = scene.labels[where]
-            labels = labels[labels != ignore_label]
-            if labels.size == 0:
-                continue
-            cls = int(np.bincount(labels, minlength=num_classes).argmax())
-            pixels[cls] += labels.size
+        for where, cls in _instances(scene.labels, scene.instances, num_classes,
+                                     ignore_label):
+            pixels[cls] += int(where.sum())
             counts[cls] += 1
-    with np.errstate(invalid="ignore"):
-        return np.where(counts > 0, pixels / np.maximum(counts, 1), np.nan)
+    return np.divide(pixels, counts, out=np.full(num_classes, np.nan), where=counts > 0)
 
 
 class InstanceScore:
@@ -102,15 +108,10 @@ class InstanceScore:
 
     def update(self, truth: np.ndarray, instances: np.ndarray,
                pred: np.ndarray) -> None:
-        valid = truth != self.ignore_label
-        # false positives are plain pixel counts
-        for c in range(self.num_classes):
-            self.fp[c] += int(((pred == c) & valid & (truth != c)).sum())
-        inside = valid & (instances > 0)
-        for inst in np.unique(instances[inside]):
-            where = inside & (instances == inst)
-            labels = truth[where]
-            cls = int(np.bincount(labels, minlength=self.num_classes).argmax())
+        wrong = (truth != self.ignore_label) & (pred != truth)
+        self.fp += np.bincount(pred[wrong], minlength=self.num_classes)
+        for where, cls in _instances(truth, instances, self.num_classes,
+                                     self.ignore_label):
             if np.isnan(self.avg_sizes[cls]):
                 continue
             w = self.avg_sizes[cls] / int(where.sum())
@@ -119,16 +120,10 @@ class InstanceScore:
             self.fn[cls] += w * (int(where.sum()) - hits)
 
     def iiou(self) -> np.ndarray:
-        denom = self.tp + self.fp + self.fn
-        has_instances = ~np.isnan(self.avg_sizes)
-        with np.errstate(invalid="ignore"):
-            vals = np.where(denom > 0, self.tp / np.where(denom > 0, denom, 1), np.nan)
-        return np.where(has_instances, vals, np.nan)
+        return np.where(np.isnan(self.avg_sizes), np.nan, _ratio(self.tp, self.fp, self.fn))
 
     def mean_iiou(self) -> float:
-        vals = self.iiou()
-        present = ~np.isnan(vals)
-        return float(vals[present].mean()) if present.any() else float("nan")
+        return _mean_present(self.iiou())
 
 
 class CategoryMap:
@@ -175,20 +170,20 @@ def multiscale_predict(model, image: np.ndarray, scales=(1.0,)) -> np.ndarray:
     if not scales:
         raise ValueError("need at least one scale")
     h, w = image.shape[:2]
-    min_side = 1 << (model.spec.n_streams - 1)
-    votes = np.zeros((model.spec.num_classes, h, w), np.int64)
+    classes = np.arange(model.spec.num_classes)
+    votes = np.zeros((len(classes), h, w), np.int64)
     used = 0
     for s in scales:
         sh, sw = int(round(h * s)), int(round(w * s))
-        if min(sh, sw) < min_side:
+        if min(sh, sw) < model.spec.min_side:
             warnings.warn(
-                f"scale {s} gives {sh}x{sw}, below the {min_side}-pixel "
+                f"scale {s} gives {sh}x{sw}, below the {model.spec.min_side}-pixel "
                 f"minimum side; skipping", RuntimeWarning)
             continue
         scaled = image if (sh, sw) == (h, w) else resize_bilinear(image, (sh, sw))
         pred = predict_logits(model, scaled).argmax(0)
         back = pred if (sh, sw) == (h, w) else resize_nearest(pred, (h, w))
-        np.add.at(votes, (back, *np.indices((h, w))), 1)
+        votes += back == classes[:, None, None]
         used += 1
     if used == 0:
         raise ValueError("every scale fell below the minimum input size")
@@ -196,12 +191,26 @@ def multiscale_predict(model, image: np.ndarray, scales=(1.0,)) -> np.ndarray:
     return votes.argmax(0)
 
 
-def _nan_to_none(values: np.ndarray) -> list:
-    return [None if np.isnan(v) else float(v) for v in values]
-
-
 def _none_if_nan(x: float):
     return None if np.isnan(x) else float(x)
+
+
+def _score(scenes: list[Scene], preds: list[np.ndarray], num_classes: int,
+           ignore_label: int) -> dict:
+    """Pixel accuracy, IoU and iIoU of the predictions over one label space."""
+    conf = ConfusionMatrix(num_classes, ignore_label)
+    avg_sizes = instance_average_sizes(scenes, num_classes, ignore_label)
+    inst = InstanceScore(num_classes, avg_sizes, ignore_label)
+    for scene, pred in zip(scenes, preds):
+        conf.update(scene.labels, pred)
+        inst.update(scene.labels, scene.instances, pred)
+    return {
+        "pixel_accuracy": _none_if_nan(conf.pixel_accuracy()),
+        "iou": [_none_if_nan(v) for v in conf.iou()],
+        "mean_iou": _none_if_nan(conf.mean_iou()),
+        "iiou": [_none_if_nan(v) for v in inst.iiou()],
+        "mean_iiou": _none_if_nan(inst.mean_iiou()),
+    }
 
 
 def evaluate_scenes(model, scenes: list[Scene], scales=(1.0,),
@@ -223,40 +232,19 @@ def evaluate_scenes(model, scenes: list[Scene], scales=(1.0,),
         with ThreadPoolExecutor(max_workers=threads) as pool:
             preds = list(pool.map(predict, scenes))
 
-    conf = ConfusionMatrix(num_classes, ignore_label)
-    avg_sizes = instance_average_sizes(scenes, num_classes, ignore_label)
-    inst = InstanceScore(num_classes, avg_sizes, ignore_label)
-    for scene, pred in zip(scenes, preds):
-        conf.update(scene.labels, pred)
-        inst.update(scene.labels, scene.instances, pred)
     report = {
         "n_scenes": len(scenes),
         "scales": [float(s) for s in scales],
         "num_classes": num_classes,
-        "pixel_accuracy": _none_if_nan(conf.pixel_accuracy()),
-        "iou": _nan_to_none(conf.iou()),
-        "mean_iou": _none_if_nan(conf.mean_iou()),
-        "iiou": _nan_to_none(inst.iiou()),
-        "mean_iiou": _none_if_nan(inst.mean_iiou()),
+        **_score(scenes, preds, num_classes, ignore_label),
         "categories": None,
     }
     if categories is not None:
         cmap = CategoryMap(categories, num_classes)
-        cconf = ConfusionMatrix(cmap.num_categories, ignore_label)
         cat_scenes = [Scene(s.image, cmap.apply(s.labels, ignore_label),
                             s.instances, s.seed) for s in scenes]
-        cat_sizes = instance_average_sizes(cat_scenes, cmap.num_categories,
-                                           ignore_label)
-        cinst = InstanceScore(cmap.num_categories, cat_sizes, ignore_label)
-        for scene, pred in zip(cat_scenes, preds):
-            cpred = cmap.apply(pred, ignore_label)
-            cconf.update(scene.labels, cpred)
-            cinst.update(scene.labels, scene.instances, cpred)
-        report["categories"] = {
-            "names": cmap.names,
-            "iou": _nan_to_none(cconf.iou()),
-            "mean_iou": _none_if_nan(cconf.mean_iou()),
-            "iiou": _nan_to_none(cinst.iiou()),
-            "mean_iiou": _none_if_nan(cinst.mean_iiou()),
-        }
+        cat_preds = [cmap.apply(p, ignore_label) for p in preds]
+        scores = _score(cat_scenes, cat_preds, cmap.num_categories, ignore_label)
+        del scores["pixel_accuracy"]
+        report["categories"] = {"names": cmap.names, **scores}
     return report

@@ -17,22 +17,30 @@ class GradientError(RuntimeError):
     """A parameter gradient contains NaN or infinity."""
 
 
+DECAY_MODES = ("inverse_time", "multiplicative")
+
+
+def check_hyperparams(lr, beta1, beta2, eps, lr_decay, decay_mode) -> None:
+    """Raise ValueError unless lr > 0, betas lie in [0, 1), eps > 0,
+    lr_decay >= 0 and decay_mode is known."""
+    if not lr > 0:
+        raise ValueError(f"lr must be positive, got {lr}")
+    if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
+        raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if not lr_decay >= 0:
+        raise ValueError(f"lr_decay must be non-negative, got {lr_decay}")
+    if decay_mode not in DECAY_MODES:
+        raise ValueError(f"decay_mode must be one of {DECAY_MODES}, got {decay_mode!r}")
+
+
 class Adam:
     """Bias-corrected Adam over an ordered list of named parameters."""
 
-    DECAY_MODES = ("inverse_time", "multiplicative")
-
     def __init__(self, named_params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
                  lr_decay=0.0, decay_mode="inverse_time"):
-        if lr <= 0:
-            raise ValueError(f"lr must be positive, got {lr}")
-        if not 0.0 <= beta1 < 1.0 or not 0.0 <= beta2 < 1.0:
-            raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-        if lr_decay < 0:
-            raise ValueError(f"lr_decay must be non-negative, got {lr_decay}")
-        if decay_mode not in self.DECAY_MODES:
-            raise ValueError(f"decay_mode must be one of {self.DECAY_MODES}, "
-                             f"got {decay_mode!r}")
+        check_hyperparams(lr, beta1, beta2, eps, lr_decay, decay_mode)
         named_params = list(named_params)
         if not named_params:
             raise ValueError("Adam needs at least one parameter")

@@ -28,7 +28,7 @@ from .data import AugmentConfig, Scene, random_patch
 from .dropout import sample_drop_mask
 from .grid import ConnectionMask, GridModel, GridSpec, build_grid
 from .ops import softmax_cross_entropy
-from .optim import Adam
+from .optim import Adam, check_hyperparams
 from .tensor import Tape, backward
 
 KEY_SHUFFLE = 0x8AF1DE91C2264F8D
@@ -68,8 +68,12 @@ class TrainConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
+        check_hyperparams(self.lr, self.beta1, self.beta2, self.eps, self.lr_decay,
+                          self.decay_mode)
         if (self.lr_drop_epoch is None) != (self.lr_after_drop is None):
             raise ValueError("lr_drop_epoch and lr_after_drop go together")
+        if self.lr_after_drop is not None and not self.lr_after_drop > 0:
+            raise ValueError(f"lr_after_drop must be positive, got {self.lr_after_drop}")
         if self.snapshot_every is not None and self.snapshot_every < 1:
             raise ValueError(f"snapshot_every must be positive, got "
                              f"{self.snapshot_every}")
@@ -182,6 +186,12 @@ def train_run(model: GridModel, scenes: list[Scene], augment: AugmentConfig,
 # ---------------------------------------------------------------------------
 
 
+def _payload(params, buffers, optim: Adam) -> list[tuple[np.ndarray, type]]:
+    """(array, file dtype) for each payload section, in file order."""
+    return ([(p.data, np.float32) for _, p in params] + [(b, np.float32) for _, b in buffers]
+            + [(a, np.float64) for a in optim.m + optim.v])
+
+
 def save_checkpoint(path: str, model: GridModel, optim: Adam, train_seed: int,
                     epochs_done: int) -> None:
     if model.dtype != np.float32:
@@ -208,14 +218,8 @@ def save_checkpoint(path: str, model: GridModel, optim: Adam, train_seed: int,
             f.write(_MAGIC)
             f.write(struct.pack("<IQ", _VERSION, len(blob)))
             f.write(blob)
-            for _, p in params:
-                f.write(np.ascontiguousarray(p.data, np.float32).tobytes())
-            for _, b in buffers:
-                f.write(np.ascontiguousarray(b, np.float32).tobytes())
-            for m in optim.m:
-                f.write(np.ascontiguousarray(m, np.float64).tobytes())
-            for v in optim.v:
-                f.write(np.ascontiguousarray(v, np.float64).tobytes())
+            for arr, dtype in _payload(params, buffers, optim):
+                f.write(np.ascontiguousarray(arr, dtype).tobytes())
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
@@ -223,15 +227,6 @@ def save_checkpoint(path: str, model: GridModel, optim: Adam, train_seed: int,
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-
-
-def _take(raw: bytes, offset: int, shape, dtype) -> tuple[np.ndarray, int]:
-    n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    end = offset + n * np.dtype(dtype).itemsize
-    if end > len(raw):
-        raise ValueError("checkpoint truncated")
-    arr = np.frombuffer(raw[offset:end], dtype).reshape(shape).copy()
-    return arr, end
 
 
 def load_checkpoint(path: str, expect_spec: GridSpec | None = None):
@@ -290,15 +285,15 @@ def load_checkpoint(path: str, expect_spec: GridSpec | None = None):
     buffers = model.named_buffers()
     if [[n, list(b.shape)] for n, b in buffers] != header["buffers"]:
         raise ValueError("checkpoint buffer table does not match the rebuilt model")
+    payload = _payload(params, buffers, optim)
     offset = 16 + header_len
-    for _, p in params:
-        p.data, offset = _take(raw, offset, p.shape, np.float32)
-    for _, b in buffers:
-        b[...], offset = _take(raw, offset, b.shape, np.float32)
-    for k, (_, p) in enumerate(params):
-        optim.m[k], offset = _take(raw, offset, p.shape, np.float64)
-    for k, (_, p) in enumerate(params):
-        optim.v[k], offset = _take(raw, offset, p.shape, np.float64)
-    if offset != len(raw):
-        raise ValueError(f"{path}: {len(raw) - offset} trailing bytes")
+    extra = len(raw) - offset - sum(a.size * np.dtype(t).itemsize for a, t in payload)
+    if extra < 0:
+        raise ValueError(f"{path}: checkpoint truncated")
+    if extra > 0:
+        raise ValueError(f"{path}: {extra} trailing bytes")
+    for arr, dtype in payload:  # fill the freshly built arrays in place
+        section = np.frombuffer(raw, dtype, arr.size, offset)
+        arr[...] = section.reshape(arr.shape)
+        offset += section.nbytes
     return model, optim, dict(header["train"])

@@ -195,6 +195,29 @@ class TestExitCodes:
                            "--checkpoint", str(tmp_path / "m.grdn"))
         assert code == 1 and "categories" in err and err.count("\n") == 1
 
+    def test_bad_optimizer_setting_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**TINY, "train": {**TINY["train"], "eps": 0.0}}))
+        code, _, err = run(capsys, "train", "--config", str(path),
+                           "--checkpoint", str(tmp_path / "m.grdn"))
+        assert code == 1 and "eps must be positive" in err and err.count("\n") == 1
+        assert not (tmp_path / "m.grdn").exists()
+
+    def test_model_too_large_to_allocate_is_runtime_error(self, capsys, tmp_path,
+                                                          tiny_config, monkeypatch):
+        ckpt = str(tmp_path / "m.grdn")
+        run(capsys, "train", "--config", tiny_config, "--checkpoint", ckpt, "--epochs", "0")
+
+        def build_grid(*args, **kwargs):
+            raise MemoryError("Unable to allocate 288. GiB for an array")
+
+        monkeypatch.setattr("gridseg.cli.build_grid", build_grid)
+        monkeypatch.setattr("gridseg.train.build_grid", build_grid)
+        for argv in (["report", "--config", tiny_config],
+                     ["eval", "--config", tiny_config, "--checkpoint", ckpt]):
+            code, _, err = run(capsys, *argv)
+            assert code == 2 and "Unable to allocate" in err and err.count("\n") == 1
+
     def test_negative_seed_rejected(self, capsys, tiny_config):
         code, _, err = run(capsys, "report", "--config", tiny_config,
                            "--seed", "-4")

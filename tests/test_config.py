@@ -121,6 +121,19 @@ class TestRunConfig:
         assert cfg.eval.categories == categories
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("train, message", [
+        ({"lr": 0}, "lr must be positive"),
+        ({"beta1": 1.5}, "betas must lie in"),
+        ({"beta2": -0.1}, "betas must lie in"),
+        ({"eps": 0.0}, "eps must be positive"),
+        ({"lr_decay": -0.5}, "lr_decay must be non-negative"),
+        ({"decay_mode": "staircase"}, "decay_mode must be one of"),
+        ({"lr_drop_epoch": 1, "lr_after_drop": -0.5}, "lr_after_drop must be positive"),
+    ])
+    def test_optimizer_settings_checked_at_parse(self, train, message):
+        with pytest.raises(ConfigError, match="'train': " + message):
+            RunConfig.from_dict({"train": train})
+
 
 SECTIONS = {"grid": GridSpec, "data": DataConfig, "augment": AugmentConfig,
             "train": TrainConfig, "eval": EvalConfig}

@@ -162,6 +162,20 @@ class TestInstanceScores:
         assert score.fp[1] == 4.0 and score.tp[1] == 2.0
         assert abs(score.iiou()[1] - 2.0 / 6.0) < 1e-12
 
+    def test_mixed_label_instance_counts_as_majority_class(self):
+        # one instance: 3 pixels of class 1, 1 of class 2 and 1 ignored, so
+        # it is a class-1 instance of size 4 for both the sizes and the score
+        labels = np.array([[1, 1, 1, 2, 255, 0]])
+        inst = np.array([[7, 7, 7, 7, 7, 0]])
+        pred = np.array([[1, 1, 2, 1, 0, 0]])
+        sizes = instance_average_sizes([scene_of(labels, inst)], 3)
+        assert sizes[1] == 4.0 and np.isnan(sizes[0]) and np.isnan(sizes[2])
+        score = InstanceScore(3, sizes)
+        score.update(labels, inst, pred)
+        assert score.tp.tolist() == [0.0, 3.0, 0.0]
+        assert score.fn.tolist() == [0.0, 1.0, 0.0]
+        assert score.fp.tolist() == [0.0, 1.0, 1.0]
+
     def test_class_without_instances_is_nan(self):
         labels = np.zeros((4, 4), np.int64)
         labels[0] = 1  # class 1 present but uninstanced
@@ -255,6 +269,32 @@ class TestEvaluate:
         rep2 = evaluate_scenes(model, scenes, scales=(1.0, 0.5),
                                categories={"bg": [0], "fg": [1, 2, 3]})
         assert rep == rep2
+
+    def test_category_section_scores_remapped_scenes(self):
+        # the category section equals the class-level scores of the same
+        # scenes with labels and predictions passed through CategoryMap.apply
+        model, scenes = self.model_and_scenes()
+        scenes = [Scene(s.image, np.where(np.arange(32) % 7 == 0, 255, s.labels),
+                        np.where(np.arange(32)[:, None] < 10, 99, s.instances), s.seed)
+                  for s in scenes]  # ignored columns and one mixed-label instance
+        groups, scales = {"bg": [0], "fg": [1, 2], "x": [3]}, (1.0, 0.5)
+        rep = evaluate_scenes(model, scenes, scales=scales, categories=groups)
+        cmap = CategoryMap(groups, 4)
+        cat_scenes = [Scene(s.image, cmap.apply(s.labels), s.instances, s.seed)
+                      for s in scenes]
+        conf = ConfusionMatrix(3)
+        score = InstanceScore(3, instance_average_sizes(cat_scenes, 3))
+        for scene, cat in zip(scenes, cat_scenes):
+            pred = cmap.apply(multiscale_predict(model, scene.image, scales))
+            conf.update(cat.labels, pred)
+            score.update(cat.labels, cat.instances, pred)
+        got = rep["categories"]
+        assert got["names"] == ["bg", "fg", "x"]
+        np.testing.assert_array_equal(np.array(got["iou"], float), conf.iou())
+        np.testing.assert_array_equal(np.array(got["iiou"], float), score.iiou())
+        assert got["mean_iou"] == conf.mean_iou()
+        assert got["mean_iiou"] == score.mean_iiou()
+        assert not np.isnan(score.iiou()).all()
 
     def test_order_independent(self):
         model, scenes = self.model_and_scenes()

@@ -107,5 +107,10 @@ class TestAdam:
             Adam([("p", p)], beta1=1.0)
         with pytest.raises(ValueError):
             Adam([("p", p)], decay_mode="staircase")
+        # eps = 0 divides 0 by 0 wherever m = v = 0, which is every entry at step 1
+        for bad in ({"eps": 0.0}, {"eps": -1e-8}, {"lr": float("nan")},
+                    {"lr_decay": float("nan")}):
+            with pytest.raises(ValueError):
+                Adam([("p", p)], **bad)
         with pytest.raises(ValueError):
             Adam([])
