@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -26,7 +27,6 @@ from .gradcheck import finite_diff_gradcheck
 from .grid import GridSpec, build_grid, grid_report, symmetric_columns
 from .metrics import evaluate_scenes, multiscale_predict
 from .ops import softmax_cross_entropy
-from .optim import GradientError
 from .tensor import Tape
 from .train import load_checkpoint, make_optimizer, save_checkpoint, train_run
 
@@ -40,30 +40,42 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _number(kind, low, strict: bool = False):
+    """argparse type: a finite ``kind`` of at least ``low`` (above it if ``strict``)."""
+    def parse(text: str):
+        value = kind(text)
+        if not low <= value < math.inf or (strict and value == low):
+            bound = "above" if strict else "at least"
+            raise argparse.ArgumentTypeError(f"must be finite and {bound} {low}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names it on a ValueError: "invalid int value"
+    return parse
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON run configuration")
-    common.add_argument("--seed", type=int, help="override the configured seed")
+    common.add_argument("--seed", type=_number(int, 0), help="override the configured seed")
 
     p = _Parser(prog="gridseg", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("report", parents=[common],
                         help="print the model layout and cost summary")
-    sp.add_argument("--input-size", type=int, default=None,
+    sp.add_argument("--input-size", type=_number(int, 1), default=None,
                     help="square input side (default: augment out_size)")
 
     sp = sub.add_parser("train", parents=[common], help="train on synthetic scenes")
     sp.add_argument("--checkpoint", default="model.grdn", help="output checkpoint")
     sp.add_argument("--log", default=None, help="JSONL training log path")
     sp.add_argument("--resume", default=None, help="checkpoint to continue from")
-    sp.add_argument("--epochs", type=int, default=None,
+    sp.add_argument("--epochs", type=_number(int, 0), default=None,
                     help="override the configured epoch count")
 
     sp = sub.add_parser("eval", parents=[common],
                         help="evaluate a checkpoint on held-out scenes")
     sp.add_argument("--checkpoint", required=True)
-    sp.add_argument("--threads", type=int, default=1,
+    sp.add_argument("--threads", type=_number(int, 1), default=1,
                     help="parallel per-image evaluation threads")
 
     sp = sub.add_parser("infer", parents=[common], help="segment one PPM image")
@@ -74,9 +86,9 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("gradcheck", parents=[common],
                         help="finite-difference gradient audit")
-    sp.add_argument("--coords", type=int, default=80,
+    sp.add_argument("--coords", type=_number(int, 1), default=80,
                     help="parameter coordinates to probe")
-    sp.add_argument("--tol", type=float, default=1e-4,
+    sp.add_argument("--tol", type=_number(float, 0, strict=True), default=1e-4,
                     help="maximum relative error accepted")
     return p
 
@@ -84,8 +96,6 @@ def _build_parser() -> _Parser:
 def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
-        if args.seed < 0:
-            raise UsageError(f"--seed must be non-negative, got {args.seed}")
         cfg = RunConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
     return cfg
 
@@ -110,7 +120,7 @@ def _eval_scenes(cfg: RunConfig, seed: int):
 
 def _cmd_report(args) -> int:
     cfg = _load_run_config(args)
-    side = args.input_size or cfg.augment.out_size
+    side = cfg.augment.out_size if args.input_size is None else args.input_size
     model = build_grid(cfg.grid, (side, side), seed=cfg.seed)
     _print(grid_report(model))
     return 0
@@ -119,8 +129,6 @@ def _cmd_report(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_run_config(args)
     if args.epochs is not None:
-        if args.epochs < 0:
-            raise UsageError(f"--epochs must be non-negative, got {args.epochs}")
         cfg = RunConfig.from_dict(
             {**cfg.to_dict(), "train": {**cfg.train.to_dict(), "epochs": args.epochs}})
     if args.resume:
@@ -189,7 +197,7 @@ def _cmd_gradcheck(args) -> int:
                                    n_coords=args.coords, seed=1)
     doc = report.to_dict()
     doc["tolerance"] = args.tol
-    doc["passed"] = report.max_rel_error < args.tol
+    doc["passed"] = report.checked > 0 and report.max_rel_error < args.tol
     _print(doc)
     return 0 if doc["passed"] else 2
 
@@ -209,7 +217,7 @@ def main(argv=None) -> int:
     except (UsageError, ConfigError) as e:
         print(f"gridseg: {e}", file=sys.stderr)
         return 1
-    except (OSError, ValueError, RuntimeError, GradientError, MemoryError) as e:
+    except (OSError, ValueError, RuntimeError, MemoryError) as e:
         print(f"gridseg: {e}", file=sys.stderr)
         return 2
 

@@ -23,12 +23,15 @@ same with skip wires, and a full-resolution residual stream over a
 non-residual down/up path). Masked parameters stay allocated (and frozen)
 unless the model is built with ``prune_masked=True``.
 
-The evaluation order is written once, in :func:`_order`. At build time
-:class:`GridModel` walks it against the mask and keeps the blocks that
-run, in order, as its ``plan``; each :class:`GridBlock` records there
-whether its identity wire carries a value, whether its residual unit
-runs and which stream its vertical unit reads. The forward pass, the
-dropout gates and :func:`activation_tally` read only those flags.
+The evaluation order is written once, in :func:`_order`, and the block
+rule once, in :func:`_blocks`: walking that order against a mask, it
+yields each block that carries a value, with whether its identity wire
+carries a value, whether its residual unit runs and which stream its
+vertical unit reads. :class:`GridModel` allocates units by that walk
+(under the runtime mask when pruned, under an all-on mask otherwise) and
+keeps the walk under the runtime mask, in order, as its ``plan``. The
+forward pass, the dropout gates and :func:`activation_tally` read only
+the plan's flags.
 Parameter and buffer names are attribute paths, collected by
 :func:`named_leaves`.
 """
@@ -168,82 +171,36 @@ class ConnectionMask:
         shape = (spec.n_streams, spec.n_columns)
         return cls(np.ones(shape, bool), np.ones(shape, bool), np.ones(shape, bool))
 
-    def copy(self) -> "ConnectionMask":
-        return ConnectionMask(self.horizontal_on.copy(), self.residual_on.copy(),
-                              self.vertical_on.copy())
-
-
-def _monotone_kinds_or_raise(name: str, spec: GridSpec) -> None:
-    if spec.n_sub < 1 or spec.n_up < 1:
-        raise ValueError(f"mask preset {name!r} needs at least one sub and one up column")
-    if spec.column_kinds != symmetric_columns(spec.n_sub, spec.n_up):
-        raise ValueError(
-            f"mask preset {name!r} requires all sub columns before all up columns, "
-            f"got {spec.column_kinds}"
-        )
-
-
-def _path_profile(spec: GridSpec) -> list[int]:
-    """Stream depth of the single encoder-decoder path after each column."""
-    deepest = spec.n_streams - 1
-    profile = []
-    for s in range(1, spec.n_sub + 1):
-        profile.append(math.ceil(s * deepest / spec.n_sub))
-    for u in range(1, spec.n_up + 1):
-        profile.append(((spec.n_up - u) * deepest) // spec.n_up)
-    return profile
-
 
 def preset_mask(name: str, spec: GridSpec) -> ConnectionMask:
     """Build one of the named connection-mask presets for this spec."""
-    n, cols = spec.n_streams, spec.n_columns
     if name == "full":
         return ConnectionMask.all_on(spec)
+    if name not in _MASK_PRESETS:
+        raise ValueError(f"unknown mask preset {name!r}; choose from {_MASK_PRESETS}")
+    if spec.n_streams < 2:
+        raise ValueError(f"mask preset {name!r} needs at least two streams")
     if name == "frrn":
-        if n < 2:
-            raise ValueError("mask preset 'frrn' needs at least two streams")
-        h = np.ones((n, cols), bool)
-        r = np.zeros((n, cols), bool)
-        r[0, :] = True  # stream 0 keeps its residual units; deeper streams are wires
-        v = np.ones((n, cols), bool)
-        return ConnectionMask(h, r, v)
-    if name in ("conv_deconv", "u_net"):
-        if n < 2:
-            raise ValueError(f"mask preset {name!r} needs at least two streams")
-        _monotone_kinds_or_raise(name, spec)
-        h = np.zeros((n, cols), bool)
-        r = np.zeros((n, cols), bool)
-        v = np.zeros((n, cols), bool)
-        profile = _path_profile(spec)
-        pos = 0
-        left_at: dict[int, int] = {}
-        returned_at: dict[int, int] = {}
-        for t, kind in enumerate(spec.column_kinds):
-            target = profile[t]
-            h[pos, t] = True
-            r[pos, t] = True
-            if kind == SUB:
-                for q in range(pos, target):
-                    left_at[q] = t
-                for q in range(pos + 1, target + 1):
-                    v[q, t] = True
-            else:
-                for q in range(target, pos):
-                    returned_at.setdefault(q, t)
-                for q in range(pos - 1, target - 1, -1):
-                    v[q, t] = True
-            pos = target
-        if name == "u_net":
-            # close each descend/ascend loop with a horizontal skip wire
-            for q, t_left in left_at.items():
-                t_back = returned_at.get(q)
-                if t_back is None:
-                    continue
-                for t in range(t_left + 1, t_back + 1):
-                    h[q, t] = True
-                    r[q, t] = True
-        return ConnectionMask(h, r, v)
-    raise ValueError(f"unknown mask preset {name!r}; choose from {_MASK_PRESETS}")
+        mask = ConnectionMask.all_on(spec)
+        mask.residual_on[1:] = False  # stream 0 keeps its residual units; deeper streams are wires
+        return mask
+    n_sub, n_up, deepest = spec.n_sub, spec.n_up, spec.n_streams - 1
+    if n_sub < 1 or n_up < 1:
+        raise ValueError(f"mask preset {name!r} needs at least one sub and one up column")
+    if spec.column_kinds != symmetric_columns(n_sub, n_up):
+        raise ValueError(f"mask preset {name!r} requires all sub columns before all up "
+                         f"columns, got {spec.column_kinds}")
+    # conv_deconv and u_net follow one encoder-decoder path; its stream
+    # depth leaving each column, and entering it
+    after = np.array([math.ceil(s * deepest / n_sub) for s in range(1, n_sub + 1)]
+                     + [(n_up - u) * deepest // n_up for u in range(1, n_up + 1)])
+    before = np.concatenate(([0], after[:-1]))
+    q = np.arange(spec.n_streams)[:, None]
+    # u_net adds skip wires on the streams the path has descended past,
+    # until it climbs back to them
+    h = q == before if name == "conv_deconv" else q <= before
+    v = ((before < q) & (q <= after)) | ((after <= q) & (q < before))
+    return ConnectionMask(h, h.copy(), v)
 
 
 def _order(spec: GridSpec):
@@ -263,6 +220,25 @@ def _order(spec: GridSpec):
                 yield i, t, (i + 1 if i < n - 1 else None)
 
 
+def _blocks(spec: GridSpec, mask: ConnectionMask):
+    """The block rule: (stream, column, identity, residual, src) per block.
+
+    Walks :func:`_order` and yields each block that carries a value under
+    ``mask``: whether its identity wire carries its stream's previous
+    value, whether its residual unit runs on that wire, and which stream
+    its vertical unit reads (None: no vertical addend).
+    """
+    act = np.zeros((spec.n_streams, spec.n_columns + 1), bool)
+    act[0, 0] = True
+    for i, t, src in _order(spec):
+        identity = bool(act[i, t] and mask.horizontal_on[i, t])
+        if src is None or not (act[src, t + 1] and mask.vertical_on[i, t]):
+            src = None
+        if identity or src is not None:
+            act[i, t + 1] = True
+            yield i, t, identity, identity and bool(mask.residual_on[i, t]), src
+
+
 def _activity(spec: GridSpec, mask: ConnectionMask | None) -> np.ndarray:
     """Which blocks carry a value, per stream and column (column 0 = stem).
 
@@ -271,10 +247,8 @@ def _activity(spec: GridSpec, mask: ConnectionMask | None) -> np.ndarray:
     """
     act = np.zeros((spec.n_streams, spec.n_columns + 1), bool)
     act[0, 0] = True
-    for i, t, src in _order(spec):
-        h_on = mask is None or mask.horizontal_on[i, t]
-        v_on = mask is None or mask.vertical_on[i, t]
-        act[i, t + 1] = (act[i, t] and h_on) or (src is not None and act[src, t + 1] and v_on)
+    for i, t, *_ in _blocks(spec, ConnectionMask.all_on(spec) if mask is None else mask):
+        act[i, t + 1] = True
     return act
 
 
@@ -374,10 +348,9 @@ class UpUnit(_Unit):
 class GridBlock(_Unit):
     """Units of one grid position, plus what the forward pass runs there.
 
-    ``identity``, ``residual`` and ``src`` are fixed when the model is
-    built from its connection mask: whether the horizontal wire carries a
-    value, whether the residual unit runs on it, and which stream the
-    vertical unit reads (None: no vertical addend).
+    ``identity``, ``residual`` and ``src`` are the block rule's flags
+    (:func:`_blocks`) under the model's connection mask; a block outside
+    the plan keeps their defaults.
     """
 
     row: int
@@ -459,35 +432,24 @@ class GridModel:
         self.stem_conv = ops.conv_params(rng, spec.base_channels, spec.image_channels,
                                          3, 3, 1, (1, 1), dtype)
         self.blocks: dict[tuple[int, int], GridBlock] = {}
-        self.plan: list[GridBlock] = []  # the blocks that run, in evaluation order
-        alloc = act if prune_masked else _activity(spec, None)
-        for i, t, src in _order(spec):
-            if not alloc[i, t + 1]:
-                continue
-            kind = spec.column_kinds[t]
-            h_on, r_on, v_on = (bool(m[i, t]) for m in
-                                (mask.horizontal_on, mask.residual_on, mask.vertical_on))
-            block = GridBlock(i, t, kind)
+        alloc = mask if prune_masked else ConnectionMask.all_on(spec)
+        for i, t, identity, residual, src in _blocks(spec, alloc):
+            block = self.blocks[(i, t)] = GridBlock(i, t, spec.column_kinds[t])
             f_i = spec.stream_channels(i)
-            has_horizontal = alloc[i, t] and (h_on or not prune_masked)
-            if has_horizontal and (r_on or not prune_masked):
+            if residual:
                 block.res = ResidualUnit(f_i, rng, dtype)
-            if src is not None and alloc[src, t + 1] and (v_on or not prune_masked):
-                unit = DownUnit if kind == SUB else UpUnit
+            if src is not None:
+                unit = DownUnit if block.kind == SUB else UpUnit
                 block.vert = unit(spec.stream_channels(src), rng, dtype, spec.vertical_residual)
             if spec.fusion == "concat":
-                block.proj_slots = (bool(has_horizontal), block.vert is not None)
-                n_slots = sum(block.proj_slots)
-                if n_slots:
-                    block.proj = ops.conv_params(rng, f_i, n_slots * f_i, 1, 1, 1,
-                                                 (0, 0), dtype)
-            if act[i, t + 1]:
-                block.identity = h_on and bool(act[i, t])
-                block.residual = block.identity and block.res is not None and r_on
-                if block.vert is not None and v_on and act[src, t + 1]:
-                    block.src = src
-                self.plan.append(block)
-            self.blocks[(i, t)] = block
+                block.proj_slots = (identity, src is not None)
+                block.proj = ops.conv_params(rng, f_i, sum(block.proj_slots) * f_i, 1, 1, 1,
+                                             (0, 0), dtype)
+        self.plan: list[GridBlock] = []  # the blocks that run, in evaluation order
+        for i, t, identity, residual, src in _blocks(spec, mask):
+            block = self.blocks[(i, t)]
+            block.identity, block.residual, block.src = identity, residual, src
+            self.plan.append(block)
         self.head = ops.conv_params(rng, spec.num_classes, spec.base_channels, 1, 1, 1,
                                     (0, 0), dtype)
         self.eval_order = [(b.row, b.col) for b in self.plan]

@@ -8,6 +8,8 @@ frozen units keep zero moments and never move.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .tensor import Tensor
@@ -22,15 +24,15 @@ DECAY_MODES = ("inverse_time", "multiplicative")
 
 def check_hyperparams(lr, beta1, beta2, eps, lr_decay, decay_mode) -> None:
     """Raise ValueError unless lr > 0, betas lie in [0, 1), eps > 0,
-    lr_decay >= 0 and decay_mode is known."""
-    if not lr > 0:
-        raise ValueError(f"lr must be positive, got {lr}")
+    lr_decay >= 0, lr, eps and lr_decay are finite and decay_mode is known."""
+    if not 0 < lr < math.inf:
+        raise ValueError(f"lr must be positive and finite, got {lr}")
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
         raise ValueError(f"betas must lie in [0, 1), got {beta1}, {beta2}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not lr_decay >= 0:
-        raise ValueError(f"lr_decay must be non-negative, got {lr_decay}")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+    if not 0 <= lr_decay < math.inf:
+        raise ValueError(f"lr_decay must be non-negative and finite, got {lr_decay}")
     if decay_mode not in DECAY_MODES:
         raise ValueError(f"decay_mode must be one of {DECAY_MODES}, got {decay_mode!r}")
 

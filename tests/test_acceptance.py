@@ -11,6 +11,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 
 from gridseg import (
     ConnectionMask,
@@ -175,6 +176,7 @@ def test_criterion_05_zeroed_units_leave_identity_path():
     _ok(5, "stream-0 output equals the stem bit for bit")
 
 
+@pytest.mark.slow
 def test_criterion_06_desk_training_reaches_target_quality():
     # the stock desk run (5 streams, 2 sub + 2 up, 4 base channels,
     # 200 synthetic 64x64 scenes, 4 classes) must reach mean IoU >= 0.85
@@ -202,6 +204,7 @@ def test_criterion_06_desk_training_reaches_target_quality():
            f"after {epochs} epochs in {elapsed:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_07_dropout_does_not_hurt_quality():
     # three seeds on a reduced desk run: mean IoU with unit dropout must
     # not trail the no-dropout arm by more than 0.02; a larger gap is

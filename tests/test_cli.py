@@ -7,6 +7,7 @@ import pytest
 
 from gridseg.cli import main
 from gridseg.data import generate_scene, read_pgm, write_ppm
+from gridseg.gradcheck import GradcheckReport
 from gridseg.train import load_checkpoint
 
 TINY = {
@@ -165,20 +166,31 @@ class TestExitCodes:
                            "--checkpoint", str(ckpt))
         assert code == 2 and "truncated" in err and err.count("\n") == 1
 
-    def test_malformed_nested_header_is_runtime_error(self, capsys, tmp_path, tiny_config):
+    def _edited_checkpoint(self, capsys, tmp_path, tiny_config, edit) -> str:
         ckpt = tmp_path / "m.grdn"
         run(capsys, "train", "--config", tiny_config, "--checkpoint", str(ckpt),
             "--epochs", "0")
         raw = ckpt.read_bytes()
         header_len = int.from_bytes(raw[8:16], "little")
         header = json.loads(raw[16:16 + header_len])
-        header["mask"] = {}
+        edit(header)
         blob = json.dumps(header).encode()
         ckpt.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
                          + raw[16 + header_len:])
-        code, _, err = run(capsys, "eval", "--config", tiny_config,
-                           "--checkpoint", str(ckpt))
+        return str(ckpt)
+
+    def test_malformed_nested_header_is_runtime_error(self, capsys, tmp_path, tiny_config):
+        ckpt = self._edited_checkpoint(capsys, tmp_path, tiny_config,
+                                       lambda h: h.update(mask={}))
+        code, _, err = run(capsys, "eval", "--config", tiny_config, "--checkpoint", ckpt)
         assert code == 2 and "'mask'" in err and err.count("\n") == 1
+
+    def test_infinite_header_lr_decay_is_runtime_error(self, capsys, tmp_path, tiny_config):
+        # json writes the float as the bare token Infinity, which it also reads back
+        ckpt = self._edited_checkpoint(capsys, tmp_path, tiny_config,
+                                       lambda h: h["optim"].update(lr_decay=float("inf")))
+        code, _, err = run(capsys, "eval", "--config", tiny_config, "--checkpoint", ckpt)
+        assert code == 2 and "lr_decay must be" in err and err.count("\n") == 1
 
     def test_wrongly_typed_config_value_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "run.json"
@@ -223,6 +235,25 @@ class TestExitCodes:
                            "--seed", "-4")
         assert code == 1
 
+    @pytest.mark.parametrize("argv,message", [
+        (["report", "--input-size", "0"], "--input-size: must be finite and at least 1"),
+        (["report", "--input-size", "2.5"], "--input-size: invalid int value"),
+        (["report", "--seed", "x"], "--seed: invalid int value"),
+        (["train", "--epochs", "-1"], "--epochs: must be finite and at least 0"),
+        (["eval", "--checkpoint", "m.grdn", "--threads", "0"],
+         "--threads: must be finite and at least 1"),
+        (["gradcheck", "--coords", "0"], "--coords: must be finite and at least 1"),
+        (["gradcheck", "--coords", "-3"], "--coords: must be finite and at least 1"),
+        (["gradcheck", "--tol", "nan"], "--tol: must be finite and above 0"),
+        (["gradcheck", "--tol", "inf"], "--tol: must be finite and above 0"),
+        (["gradcheck", "--tol", "0"], "--tol: must be finite and above 0"),
+        (["gradcheck", "--tol", "x"], "--tol: invalid float value"),
+    ])
+    def test_out_of_range_flag_is_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert message in err and err.count("\n") == 1
+
 
 class TestGradcheckCommand:
     def test_passes_by_default(self, capsys):
@@ -231,6 +262,14 @@ class TestGradcheckCommand:
         doc = json.loads(out)
         assert doc["passed"] is True
         assert doc["max_rel_error"] < doc["tolerance"]
+
+    def test_nothing_checked_fails(self, capsys, monkeypatch):
+        # every picked coordinate exactly 0: nothing was compared
+        monkeypatch.setattr("gridseg.cli.finite_diff_gradcheck",
+                            lambda *args, **kwargs: GradcheckReport(0.0, 0.0, 0, 10))
+        code, out, _ = run(capsys, "gradcheck", "--coords", "10")
+        doc = json.loads(out)
+        assert code == 2 and doc["passed"] is False and doc["checked"] == 0
 
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run(capsys, "gradcheck", "--coords", "10", "--tol", "1e-18")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gridseg import GridSpec, build_grid, sample_drop_mask, symmetric_columns
+from gridseg import ConnectionMask, GridSpec, build_grid, sample_drop_mask, symmetric_columns
 from gridseg.dropout import DropMask
 
 
@@ -75,8 +75,7 @@ class TestForwardEquivalence:
         drop_all = sample_drop_mask(model, 0.0, seed=1, step=0)
         a = model.forward(x, training=True, drop_mask=drop_all).data
 
-        twin = small_model(seed=3)
-        off = twin.mask.copy()
+        off = ConnectionMask.all_on(model.spec)
         off.residual_on[...] = False
         twin2 = small_model(seed=3, mask=off)
         b = twin2.forward(x, training=True).data

@@ -5,6 +5,11 @@ the sequential-composition test rebuilds the single-path topology from
 the model's own units, outside the grid evaluation loop.
 """
 
+import hashlib
+import itertools
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -269,6 +274,49 @@ class TestPresets:
             preset_mask("dense", spec_2s())
 
 
+def _reference_path_mask(name, spec):
+    """Path presets walked column by column: the reference for the closed
+    form in ``preset_mask``."""
+    n, cols = spec.n_streams, spec.n_columns
+    h, r, v = (np.zeros((n, cols), bool) for _ in range(3))
+    profile = [math.ceil(s * (n - 1) / spec.n_sub) for s in range(1, spec.n_sub + 1)]
+    profile += [((spec.n_up - u) * (n - 1)) // spec.n_up for u in range(1, spec.n_up + 1)]
+    pos = 0
+    left_at, returned_at = {}, {}
+    for t, kind in enumerate(spec.column_kinds):
+        target = profile[t]
+        h[pos, t] = r[pos, t] = True
+        if kind == "sub":
+            for q in range(pos, target):
+                left_at[q] = t
+            for q in range(pos + 1, target + 1):
+                v[q, t] = True
+        else:
+            for q in range(target, pos):
+                returned_at.setdefault(q, t)
+            for q in range(pos - 1, target - 1, -1):
+                v[q, t] = True
+        pos = target
+    if name == "u_net":
+        for q, t_left in left_at.items():
+            t_back = returned_at.get(q)
+            if t_back is not None:
+                h[q, t_left + 1:t_back + 1] = r[q, t_left + 1:t_back + 1] = True
+    return h, r, v
+
+
+class TestPathPresetFormula:
+    @pytest.mark.parametrize("name", ["conv_deconv", "u_net"])
+    def test_matches_column_walk(self, name):
+        for n, n_sub, n_up in itertools.product(range(2, 8), range(1, 8), range(1, 8)):
+            spec = GridSpec(n, symmetric_columns(n_sub, n_up), 2, 2)
+            mask = preset_mask(name, spec)
+            want = _reference_path_mask(name, spec)
+            got = (mask.horizontal_on, mask.residual_on, mask.vertical_on)
+            for g, w in zip(got, want):
+                assert g.dtype == bool and np.array_equal(g, w), (name, n, n_sub, n_up)
+
+
 class TestMaskedAllocation:
     def test_masks_share_initialization(self):
         a = build_grid(spec_3s(mask="full"), (16, 16), seed=3)
@@ -467,6 +515,35 @@ def _tally_cases():
     return cases
 
 
+# sha256 of the [name, shape] tables and plan flags of a 4-stream, 3 sub + 2 up grid
+_BLOCK_RULE_DIGESTS = {
+    ("conv_deconv", "sum", False):
+        "fa46445952130224f81c2b3e449e5d3567dab138406545fa997f8ae75a79a10a",
+    ("conv_deconv", "sum", True):
+        "d2ec0431fee5bd2c63f5f1ea7868a89e73107811e9e2d66391fe26b9295d7808",
+    ("conv_deconv", "concat", False):
+        "e8d9cdb086ed322179fb145173c9b1ab6abc9865feafb72c9e7921de049e0da5",
+    ("conv_deconv", "concat", True):
+        "c5a9fa702d7ddccdae00683424e8453d144cd48f041811cf8cc732edaf44609b",
+    ("u_net", "sum", False):
+        "76233809bd984c67eef95865e0c942c72549fbd3ad3e76a3a5b7da56bbfed055",
+    ("u_net", "sum", True):
+        "8405e10b20953f6d8518a2ac47321483945d0551be86b77ae2a76fb42f3840bd",
+    ("u_net", "concat", False):
+        "841c120222139e837f807ba6aa511c92d565ed469d35a666aa3065bd0ebf25fa",
+    ("u_net", "concat", True):
+        "059094a62eae80a29cb269e343595d9d8166299bb15a3c9a7eb0aa439f12e6f5",
+    ("frrn", "sum", False):
+        "530f8a70cfa670e34eb6ade2c0c5b44c51a309966b2b6e8ad2ca2e21d5e10b7c",
+    ("frrn", "sum", True):
+        "7807c5de73b63b2151fc1ce840e8f7dab204958282640a3cc9f2d960f4a906af",
+    ("frrn", "concat", False):
+        "f391d63ea56e52120823f888947bf5a1d7316bca4e197a4a64363d66b9142841",
+    ("frrn", "concat", True):
+        "35d7fdaa5db66198a225ac60be7075d05ed93c8ef7bad200db6ee589888d6e47",
+}
+
+
 class TestPlan:
     @pytest.mark.parametrize("spec,prune", _tally_cases())
     def test_activation_tally_counts_every_op_output(self, monkeypatch, spec, prune):
@@ -498,12 +575,22 @@ class TestPlan:
         assert a.elements == b.elements
         assert np.array_equal(out_a, out_b)
 
+    @pytest.mark.parametrize("preset,fusion,prune", list(_BLOCK_RULE_DIGESTS))
+    def test_block_rule_pinned(self, preset, fusion, prune):
+        spec = GridSpec(4, symmetric_columns(3, 2), base_channels=2, num_classes=3,
+                        fusion=fusion, mask=preset)
+        model = build_grid(spec, (8, 8), prune_masked=prune)
+        doc = [[[n, list(p.shape)] for n, p in model.named_parameters()],
+               [[n, list(b.shape)] for n, b in model.named_buffers()],
+               [[b.row, b.col, b.identity, b.residual, b.src, list(b.proj_slots)]
+                for b in model.plan]]
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == \
+            _BLOCK_RULE_DIGESTS[(preset, fusion, prune)]
+
     def test_v1_name_tables_pinned(self):
         # 3 streams, 6 sub + 5 up columns, concat fusion with 1x1 vertical
         # shortcuts; the digests are of the [name, shape] tables written
         # into every v1 checkpoint header
-        import hashlib
-        import json
         spec = GridSpec(3, symmetric_columns(6, 5), base_channels=2, num_classes=3,
                         fusion="concat", vertical_residual=True)
         model = build_grid(spec, (8, 8))

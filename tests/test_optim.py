@@ -108,8 +108,11 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([("p", p)], decay_mode="staircase")
         # eps = 0 divides 0 by 0 wherever m = v = 0, which is every entry at step 1
+        # an infinite lr or lr_decay puts inf or NaN into the parameters at
+        # the first step; an infinite eps freezes training
         for bad in ({"eps": 0.0}, {"eps": -1e-8}, {"lr": float("nan")},
-                    {"lr_decay": float("nan")}):
+                    {"lr_decay": float("nan")}, {"lr": float("inf")},
+                    {"eps": float("inf")}, {"lr_decay": float("inf")}):
             with pytest.raises(ValueError):
                 Adam([("p", p)], **bad)
         with pytest.raises(ValueError):

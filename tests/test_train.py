@@ -288,9 +288,11 @@ class TestCheckpoints:
         (lambda h: h.update(init_seed=0.5), "non-negative integers"),
         (lambda h: h["optim"].update(lr="x"), "malformed checkpoint header"),
         (lambda h: h["spec"].update(n_streams="x"), "malformed checkpoint header"),
+        (lambda h: h["optim"].update(lr_decay=float("inf")), "lr_decay must be"),
+        (lambda h: h["optim"].update(eps=float("inf")), "eps must be"),
     ], ids=["mask_empty", "optim_without_t", "spec_without_n_streams", "train_empty",
             "negative_epochs_done", "one_side_input_hw", "float_init_seed",
-            "lr_not_a_number", "n_streams_not_an_int"])
+            "lr_not_a_number", "n_streams_not_an_int", "infinite_lr_decay", "infinite_eps"])
     def test_malformed_nested_value_rejected(self, tmp_path, edit, message):
         header, payload = split_checkpoint(VALID_CHECKPOINT)
         edit(header)
