@@ -291,17 +291,24 @@ def batch_norm(x: Tensor, bn: BatchNorm, training: bool, tape: Tape | None = Non
     if training:
         if m == 1:
             raise ValueError("batch_norm in training mode needs more than one value per channel")
-        mean = x.data.mean(axis=(0, 2, 3))
-        var = x.data.var(axis=(0, 2, 3))
+        # centre the input once and take the variance from the centred
+        # values. The sums are those of np.mean and np.var, which divide by
+        # the count in float64 and round; dividing directly rounds to the
+        # same quotient while float32 holds m exactly (m <= 2**24), so the
+        # moments are the same bit for bit
+        mean = np.add.reduce(x.data, (0, 2, 3)) / m
+        xhat = x.data - mean.reshape(1, c, 1, 1)
+        var = np.add.reduce(xhat * xhat, (0, 2, 3)) / m
         mom = bn.momentum
         bn.running_mean += mom * (mean - bn.running_mean)
         bn.running_var += mom * (var - bn.running_var)
     else:
-        mean = bn.running_mean
+        xhat = x.data - bn.running_mean.reshape(1, c, 1, 1)
         var = bn.running_var
     inv = 1.0 / np.sqrt(var + bn.eps)
-    xhat = (x.data - mean.reshape(1, c, 1, 1)) * inv.reshape(1, c, 1, 1)
-    y = gamma.data.reshape(1, c, 1, 1) * xhat + beta.data.reshape(1, c, 1, 1)
+    xhat *= inv.reshape(1, c, 1, 1)
+    y = gamma.data.reshape(1, c, 1, 1) * xhat
+    y += beta.data.reshape(1, c, 1, 1)
     out = Tensor(y, requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad)
     if tape is not None and out.requires_grad:
         # not `_result`: all three gradients share two reductions, each computed once

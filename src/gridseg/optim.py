@@ -1,5 +1,13 @@
 """Adam with float64 state and a step-indexed learning-rate schedule.
 
+The optimizer owns its parameters' storage. Building an :class:`Adam`
+packs the parameters, in the order given, into one contiguous buffer and
+rebinds each ``p.data`` to its view of it; the moments ``m`` and ``v``
+are float64 buffers with one view per parameter in the same order. A
+step is then a few in-place ufuncs over whole buffers. Building a second
+Adam over the same tensors moves them into the new one's buffer, so the
+Adam built last owns them and the earlier one must not be stepped again.
+
 Moment buffers and the update arithmetic stay in float64 regardless of
 the parameter dtype; the finished update is cast back once. Parameters
 whose gradient is absent are treated as having a zero gradient, so
@@ -24,7 +32,8 @@ DECAY_MODES = ("inverse_time", "multiplicative")
 
 def check_hyperparams(lr, beta1, beta2, eps, lr_decay, decay_mode) -> None:
     """Raise ValueError unless lr > 0, betas lie in [0, 1), eps > 0,
-    lr_decay >= 0, lr, eps and lr_decay are finite and decay_mode is known."""
+    lr_decay >= 0, lr, eps and lr_decay are finite and decay_mode is known;
+    the multiplicative mode also needs lr_decay < 1."""
     if not 0 < lr < math.inf:
         raise ValueError(f"lr must be positive and finite, got {lr}")
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
@@ -35,6 +44,11 @@ def check_hyperparams(lr, beta1, beta2, eps, lr_decay, decay_mode) -> None:
         raise ValueError(f"lr_decay must be non-negative and finite, got {lr_decay}")
     if decay_mode not in DECAY_MODES:
         raise ValueError(f"decay_mode must be one of {DECAY_MODES}, got {decay_mode!r}")
+    # lr * (1 - lr_decay) ** (t - 1) is zero from step 2 at lr_decay = 1 and
+    # alternates in sign above it
+    if decay_mode == "multiplicative" and lr_decay >= 1:
+        raise ValueError(f"lr_decay must be below 1 with decay_mode 'multiplicative', "
+                         f"got {lr_decay}")
 
 
 class Adam:
@@ -48,6 +62,9 @@ class Adam:
             raise ValueError("Adam needs at least one parameter")
         self.names = [n for n, _ in named_params]
         self.params: list[Tensor] = [p for _, p in named_params]
+        dtypes = {p.dtype for p in self.params}
+        if len(dtypes) > 1:
+            raise ValueError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
         self.lr = float(lr)
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
@@ -55,8 +72,23 @@ class Adam:
         self.lr_decay = float(lr_decay)
         self.decay_mode = decay_mode
         self.t = 0
-        self.m = [np.zeros(p.shape, np.float64) for p in self.params]
-        self.v = [np.zeros(p.shape, np.float64) for p in self.params]
+        size = sum(p.size for p in self.params)
+        self._data = np.empty(size, self.params[0].dtype)
+        self._m = np.zeros(size, np.float64)
+        self._v = np.zeros(size, np.float64)
+        self._grad = np.empty(size, np.float64)  # step workspace: gradients, then the update
+        self._denom = np.empty(size, np.float64)  # step workspace: the update's denominator
+        self.m, self.v, self._grads = [], [], []
+        start = 0
+        for p in self.params:
+            end = start + p.size
+            view = self._data[start:end].reshape(p.shape)
+            view[...] = p.data
+            p.data = view
+            self.m.append(self._m[start:end].reshape(p.shape))
+            self.v.append(self._v[start:end].reshape(p.shape))
+            self._grads.append(self._grad[start:end].reshape(p.shape))
+            start = end
 
     def effective_lr(self, t: int | None = None) -> float:
         """Learning rate applied at 1-based step t (default: the next step)."""
@@ -72,25 +104,36 @@ class Adam:
         non-finite gradient leaves the whole model untouched. Gradients
         are cleared afterwards.
         """
-        grads = []
-        for name, p in zip(self.names, self.params):
-            if p.grad is None:
-                grads.append(None)
-                continue
-            g = np.asarray(p.grad, np.float64)
-            if not np.isfinite(g).all():
-                raise GradientError(f"non-finite gradient in {name}")
-            grads.append(g)
+        for p, g in zip(self.params, self._grads):
+            g[...] = 0.0 if p.grad is None else p.grad
+        if not np.isfinite(self._grad).all():
+            bad = next(k for k, g in enumerate(self._grads) if not np.isfinite(g).all())
+            raise GradientError(f"non-finite gradient in {self.names[bad]}")
         self.t += 1
         lr_t = self.effective_lr(self.t)
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for k, p in enumerate(self.params):
-            g = grads[k] if grads[k] is not None else 0.0
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * np.square(g)
-            update = lr_t * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + self.eps)
-            p.data = (p.data.astype(np.float64) - update).astype(p.dtype)
+        # m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g**2 and
+        # update = lr_t*(m/c1) / (sqrt(v/c2) + eps): one in-place ufunc per
+        # operation of the formula, in its order, so every element rounds as
+        # it would with the formula evaluated term by term on that tensor
+        g, d = self._grad, self._denom
+        self._m *= self.beta1
+        np.multiply(g, 1.0 - self.beta1, out=d)
+        self._m += d
+        np.square(g, out=g)
+        g *= 1.0 - self.beta2
+        self._v *= self.beta2
+        self._v += g
+        np.divide(self._v, c2, out=d)
+        np.sqrt(d, out=d)
+        d += self.eps
+        np.divide(self._m, c1, out=g)
+        g *= lr_t
+        g /= d
+        # computed in float64 and rounded once to the parameter dtype
+        np.subtract(self._data, g, out=self._data)
+        for p in self.params:
             p.grad = None
         return lr_t
 

@@ -192,6 +192,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "eval", "--config", tiny_config, "--checkpoint", ckpt)
         assert code == 2 and "lr_decay must be" in err and err.count("\n") == 1
 
+    def test_multiplicative_lr_decay_above_one_in_header_is_runtime_error(
+            self, capsys, tmp_path, tiny_config):
+        ckpt = self._edited_checkpoint(
+            capsys, tmp_path, tiny_config,
+            lambda h: h["optim"].update(lr_decay=1.5, decay_mode="multiplicative"))
+        code, _, err = run(capsys, "eval", "--config", tiny_config, "--checkpoint", ckpt)
+        assert code == 2 and "lr_decay must be below 1" in err and err.count("\n") == 1
+
+    def test_multiplicative_lr_decay_above_one_in_config_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "run.json"
+        train = {**TINY["train"], "lr_decay": 1.5, "decay_mode": "multiplicative"}
+        path.write_text(json.dumps({**TINY, "train": train}))
+        code, _, err = run(capsys, "train", "--config", str(path),
+                           "--checkpoint", str(tmp_path / "m.grdn"))
+        assert code == 1 and "lr_decay must be below 1" in err and err.count("\n") == 1
+
     def test_wrongly_typed_config_value_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({**TINY, "train": {**TINY["train"], "epochs": 1.5}}))

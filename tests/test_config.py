@@ -129,6 +129,7 @@ class TestRunConfig:
         ({"lr_decay": -0.5}, "lr_decay must be non-negative"),
         ({"decay_mode": "staircase"}, "decay_mode must be one of"),
         ({"lr_drop_epoch": 1, "lr_after_drop": -0.5}, "lr_after_drop must be positive"),
+        ({"lr_decay": 1.0, "decay_mode": "multiplicative"}, "lr_decay must be below 1"),
     ])
     def test_optimizer_settings_checked_at_parse(self, train, message):
         with pytest.raises(ConfigError, match="'train': " + message):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gridseg import (
     BatchNorm,
@@ -210,6 +212,42 @@ class TestDeconv2dUp:
 # batch norm
 # ---------------------------------------------------------------------------
 
+def batch_norm_mean_var(x, bn, training):
+    """Reference: batch norm with moments from np.mean and np.var and a
+    fresh array for each intermediate, as before the input was centred
+    once. Reads bn's parameters and statistics before the op under test
+    updates them; returns a function of the output gradient g that gives
+    [y, running_mean, running_var, dx, dgamma, dbeta]."""
+    c = bn.channels
+    m = x.size // c
+    gamma, beta = bn.gamma.data.copy(), bn.beta.data.copy()
+    running_mean, running_var = bn.running_mean.copy(), bn.running_var.copy()
+    if training:
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        running_mean += bn.momentum * (mean - running_mean)
+        running_var += bn.momentum * (var - running_var)
+    else:
+        mean, var = running_mean, running_var
+    inv = (1.0 / np.sqrt(var + bn.eps)).reshape(1, c, 1, 1)
+    xhat = (x - mean.reshape(1, c, 1, 1)) * inv
+    y = gamma.reshape(1, c, 1, 1) * xhat + beta.reshape(1, c, 1, 1)
+
+    def with_grads(g):
+        gsum = g.sum(axis=(0, 2, 3))
+        gxhat = (g * xhat).sum(axis=(0, 2, 3))
+        gw = gamma.reshape(1, c, 1, 1)
+        if training:
+            dx = (gw * inv / m) * (m * g - gsum.reshape(1, c, 1, 1)
+                                   - xhat * gxhat.reshape(1, c, 1, 1))
+        else:
+            dx = g * gw * inv
+        # accumulated into gradient slots that start at zero
+        return [y, running_mean, running_var] + [np.zeros_like(a) + a for a in (dx, gxhat, gsum)]
+
+    return with_grads
+
+
 class TestBatchNorm:
     def test_train_mode_matches_direct_formula(self):
         rng = np.random.default_rng(5)
@@ -256,6 +294,30 @@ class TestBatchNorm:
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             batch_norm(Tensor(np.zeros((1, 3, 2, 2))), BatchNorm(2), training=False)
+
+    @settings(max_examples=120, deadline=None)
+    @given(shape=st.tuples(*[st.integers(1, 4)] * 4), training=st.booleans(),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           loc=st.floats(-100, 100), scale=st.sampled_from([1e-3, 1.0, 1e3]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_mean_var_reference(self, shape, training, dtype, loc, scale, seed):
+        n, c, h, w = shape
+        assume(n * h * w >= 2)
+        rng = np.random.default_rng(seed)
+        x = Tensor((loc + scale * rng.normal(size=shape)).astype(dtype), requires_grad=True)
+        bn = BatchNorm(c, dtype=dtype)
+        bn.gamma.data[:] = rng.normal(size=c)
+        bn.beta.data[:] = rng.normal(size=c)
+        bn.running_mean[:] = rng.normal(size=c)
+        bn.running_var[:] = rng.uniform(0.1, 10.0, size=c)
+        want = batch_norm_mean_var(x.data, bn, training)
+        tape = Tape()
+        out = batch_norm(x, bn, training, tape)
+        labels = rng.integers(0, c, (n, h, w))
+        backward(tape, softmax_cross_entropy(out, labels, tape=tape))
+        got = [out.data, bn.running_mean, bn.running_var, x.grad, bn.gamma.grad, bn.beta.grad]
+        for a, b in zip(got, want(out.grad), strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 # ---------------------------------------------------------------------------

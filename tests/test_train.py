@@ -151,6 +151,23 @@ class TestCheckpoints:
         for a, b in zip(optim.m + optim.v, lopt.m + lopt.v):
             assert np.array_equal(a, b)
 
+    def test_loaded_parameters_live_in_loaded_optimizer(self, tmp_path):
+        """load_checkpoint fills the parameters through the views of the Adam
+        it returns, so the first step after a resume moves the model."""
+        path = tmp_path / "m.grdn"
+        path.write_bytes(VALID_CHECKPOINT)
+        model, optim, _ = load_checkpoint(str(path))
+        params = [p for _, p in model.named_parameters()]
+        base = params[0].data.base
+        assert base is not None and base.size == sum(p.size for p in params)
+        assert all(p.data.base is base for p in params)
+        assert optim.params == params
+        before = params_of(model)
+        for p in params:
+            p.grad = np.ones_like(p.data)
+        optim.step()
+        assert all(not np.array_equal(before[n], p.data) for n, p in model.named_parameters())
+
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
         model = tiny_model(seed=3)
         optim = make_optimizer(model, TrainConfig(epochs=1))
@@ -290,9 +307,12 @@ class TestCheckpoints:
         (lambda h: h["spec"].update(n_streams="x"), "malformed checkpoint header"),
         (lambda h: h["optim"].update(lr_decay=float("inf")), "lr_decay must be"),
         (lambda h: h["optim"].update(eps=float("inf")), "eps must be"),
+        (lambda h: h["optim"].update(lr_decay=1.5, decay_mode="multiplicative"),
+         "lr_decay must be below 1"),
     ], ids=["mask_empty", "optim_without_t", "spec_without_n_streams", "train_empty",
             "negative_epochs_done", "one_side_input_hw", "float_init_seed",
-            "lr_not_a_number", "n_streams_not_an_int", "infinite_lr_decay", "infinite_eps"])
+            "lr_not_a_number", "n_streams_not_an_int", "infinite_lr_decay", "infinite_eps",
+            "multiplicative_lr_decay_above_one"])
     def test_malformed_nested_value_rejected(self, tmp_path, edit, message):
         header, payload = split_checkpoint(VALID_CHECKPOINT)
         edit(header)
