@@ -9,6 +9,7 @@ success, 1 for usage or configuration problems, 2 for runtime failures.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -96,7 +97,7 @@ def _build_parser() -> _Parser:
 def _load_run_config(args) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
-        cfg = RunConfig.from_dict({**cfg.to_dict(), "seed": args.seed})
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -104,17 +105,9 @@ def _print(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
 
 
-def _train_scenes(cfg: RunConfig, seed: int):
-    return generate_dataset(cfg.data.n_train, seed=seed, width=cfg.data.width,
-                            height=cfg.data.height,
-                            num_classes=cfg.grid.num_classes,
-                            max_shapes=cfg.data.max_shapes)
-
-
-def _eval_scenes(cfg: RunConfig, seed: int):
-    return generate_dataset(cfg.data.n_eval, seed=seed + cfg.data.n_train,
-                            width=cfg.data.width, height=cfg.data.height,
-                            num_classes=cfg.grid.num_classes,
+def _scenes(cfg: RunConfig, n: int, first_seed: int):
+    return generate_dataset(n, seed=first_seed, width=cfg.data.width,
+                            height=cfg.data.height, num_classes=cfg.grid.num_classes,
                             max_shapes=cfg.data.max_shapes)
 
 
@@ -129,17 +122,19 @@ def _cmd_report(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_run_config(args)
     if args.epochs is not None:
-        cfg = RunConfig.from_dict(
-            {**cfg.to_dict(), "train": {**cfg.train.to_dict(), "epochs": args.epochs}})
+        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, epochs=args.epochs))
     if args.resume:
         model, optim, info = load_checkpoint(args.resume, expect_spec=cfg.grid)
         seed, epochs_done = info["seed"], info["epochs_done"]
+        if epochs_done > cfg.train.epochs:
+            raise UsageError(f"{args.resume} has {epochs_done} epochs done, more than the "
+                             f"{cfg.train.epochs} asked for")
     else:
         side = cfg.augment.out_size
         model = build_grid(cfg.grid, (side, side), seed=cfg.seed)
         optim = make_optimizer(model, cfg.train)
         seed, epochs_done = cfg.seed, 0
-    scenes = _train_scenes(cfg, seed)
+    scenes = _scenes(cfg, cfg.data.n_train, seed)
     records = train_run(model, scenes, cfg.augment, cfg.train, seed=seed,
                         optim=optim, epochs_done=epochs_done, log_path=args.log,
                         snapshot_path=args.checkpoint)
@@ -158,7 +153,7 @@ def _cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     expect = cfg.grid if args.config else None
     model, _, info = load_checkpoint(args.checkpoint, expect_spec=expect)
-    scenes = _eval_scenes(cfg, info["seed"])
+    scenes = _scenes(cfg, cfg.data.n_eval, info["seed"] + cfg.data.n_train)
     report = evaluate_scenes(model, scenes, scales=cfg.eval.scales,
                              categories=cfg.eval.categories,
                              ignore_label=cfg.train.ignore_label,

@@ -20,18 +20,19 @@ leaves through a 1x1 head on stream 0 after the last column.
 Connections can be switched off per block via a :class:`ConnectionMask`;
 presets reproduce classic topologies (single encoder-decoder path, the
 same with skip wires, and a full-resolution residual stream over a
-non-residual down/up path). Masked parameters stay allocated (and frozen)
-unless the model is built with ``prune_masked=True``.
+non-residual down/up path). A masked model is the full grid with some
+connections removed: it allocates every unit of the full grid, with the
+full grid's initialization, and its switched-off units stay frozen.
 
 The evaluation order is written once, in :func:`_order`, and the block
 rule once, in :func:`_blocks`: walking that order against a mask, it
 yields each block that carries a value, with whether its identity wire
 carries a value, whether its residual unit runs and which stream its
 vertical unit reads. :class:`GridModel` allocates units by that walk
-(under the runtime mask when pruned, under an all-on mask otherwise) and
-keeps the walk under the runtime mask, in order, as its ``plan``. The
-forward pass, the dropout gates and :func:`activation_tally` read only
-the plan's flags.
+under an all-on mask and keeps the walk under its own mask, in order, as
+its ``plan``, the one record of which blocks run. The forward pass, the
+dropout gates, :func:`activation_tally` and :func:`grid_report` read
+only the plan.
 Parameter and buffer names are attribute paths, collected by
 :func:`named_leaves`.
 """
@@ -239,19 +240,6 @@ def _blocks(spec: GridSpec, mask: ConnectionMask):
             yield i, t, identity, identity and bool(mask.residual_on[i, t]), src
 
 
-def _activity(spec: GridSpec, mask: ConnectionMask | None) -> np.ndarray:
-    """Which blocks carry a value, per stream and column (column 0 = stem).
-
-    With ``mask=None`` this is the structural activity used for parameter
-    allocation; with a mask it is what the forward pass actually computes.
-    """
-    act = np.zeros((spec.n_streams, spec.n_columns + 1), bool)
-    act[0, 0] = True
-    for i, t, *_ in _blocks(spec, ConnectionMask.all_on(spec) if mask is None else mask):
-        act[i, t + 1] = True
-    return act
-
-
 # ---------------------------------------------------------------------------
 # units
 # ---------------------------------------------------------------------------
@@ -404,7 +392,7 @@ class GridModel:
     """Runtime network: stem, grid blocks in evaluation order, 1x1 head."""
 
     def __init__(self, spec: GridSpec, input_hw, mask: ConnectionMask | None = None,
-                 seed: int = 0, dtype=np.float32, prune_masked: bool = False):
+                 seed: int = 0, dtype=np.float32):
         h, w = int(input_hw[0]), int(input_hw[1])
         if min(h, w) < spec.min_side:
             raise ValueError(
@@ -421,10 +409,9 @@ class GridModel:
         self.input_hw = (h, w)
         self.init_seed = int(seed)
         self.dtype = np.dtype(dtype)
-        self.prune_masked = bool(prune_masked)
 
-        self._masked_act = act = _activity(spec, mask)
-        if spec.n_columns and not act[0, spec.n_columns]:
+        walk = list(_blocks(spec, mask))
+        if spec.n_columns and (0, spec.n_columns - 1) not in [b[:2] for b in walk]:
             raise ValueError("connection mask leaves the output block unreachable")
 
         rng = np.random.default_rng(seed)
@@ -432,8 +419,7 @@ class GridModel:
         self.stem_conv = ops.conv_params(rng, spec.base_channels, spec.image_channels,
                                          3, 3, 1, (1, 1), dtype)
         self.blocks: dict[tuple[int, int], GridBlock] = {}
-        alloc = mask if prune_masked else ConnectionMask.all_on(spec)
-        for i, t, identity, residual, src in _blocks(spec, alloc):
+        for i, t, identity, residual, src in _blocks(spec, ConnectionMask.all_on(spec)):
             block = self.blocks[(i, t)] = GridBlock(i, t, spec.column_kinds[t])
             f_i = spec.stream_channels(i)
             if residual:
@@ -446,15 +432,12 @@ class GridModel:
                 block.proj = ops.conv_params(rng, f_i, sum(block.proj_slots) * f_i, 1, 1, 1,
                                              (0, 0), dtype)
         self.plan: list[GridBlock] = []  # the blocks that run, in evaluation order
-        for i, t, identity, residual, src in _blocks(spec, mask):
+        for i, t, identity, residual, src in walk:
             block = self.blocks[(i, t)]
             block.identity, block.residual, block.src = identity, residual, src
             self.plan.append(block)
         self.head = ops.conv_params(rng, spec.num_classes, spec.base_channels, 1, 1, 1,
                                     (0, 0), dtype)
-        self.eval_order = [(b.row, b.col) for b in self.plan]
-        self.stream_shapes = [stream_dims(spec, i, self.input_hw)
-                              for i in range(spec.n_streams)]
 
     # -- bookkeeping ---------------------------------------------------
 
@@ -540,10 +523,9 @@ class GridModel:
 
 
 def build_grid(spec: GridSpec, input_hw, mask: ConnectionMask | None = None,
-               seed: int = 0, dtype=np.float32, prune_masked: bool = False) -> GridModel:
+               seed: int = 0, dtype=np.float32) -> GridModel:
     """Construct a grid model; validates sizes, mask shape, and reachability."""
-    return GridModel(spec, input_hw, mask=mask, seed=seed, dtype=dtype,
-                     prune_masked=prune_masked)
+    return GridModel(spec, input_hw, mask=mask, seed=seed, dtype=dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -616,7 +598,8 @@ def grid_report(model: GridModel) -> dict:
         "approx_activations": approx_a,
         "activation_tally": tally,
         "activation_ratio": (tally / approx_a) if approx_a else None,
-        "stream_shapes": [list(s) for s in model.stream_shapes],
-        "eval_order": [f"s{i}c{t + 1}" for (i, t) in model.eval_order],
+        "stream_shapes": [list(stream_dims(spec, i, model.input_hw))
+                          for i in range(spec.n_streams)],
+        "eval_order": [f"s{b.row}c{b.col + 1}" for b in model.plan],
     }
 

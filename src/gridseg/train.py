@@ -81,14 +81,6 @@ class TrainConfig:
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(**d)
-
 
 def make_batch(scenes: list[Scene], augment: AugmentConfig, rng):
     """Sample one augmented patch per scene; images come out (n, 3, s, s)."""
@@ -205,7 +197,7 @@ def save_checkpoint(path: str, model: GridModel, optim: Adam, train_seed: int,
         "mask": {k: getattr(model.mask, k).tolist() for k in _MASK_KEYS},
         "input_hw": list(model.input_hw),
         "init_seed": model.init_seed,
-        "prune_masked": model.prune_masked,
+        "prune_masked": False,  # v1 layout; every model allocates the full grid
         "params": [[n, list(p.shape)] for n, p in params],
         "buffers": [[n, list(b.shape)] for n, b in buffers],
         "optim": {**optim.hyperparams(), "t": optim.t},
@@ -263,11 +255,12 @@ def load_checkpoint(path: str, expect_spec: GridSpec | None = None):
     if not all(type(v) is int and v >= 0 for v in counters):
         raise ValueError(f"{path}: checkpoint input size, seeds, step and epoch count "
                          f"must be non-negative integers")
+    if type(header["prune_masked"]) is not bool:
+        raise ValueError(f"{path}: checkpoint prune_masked must be true or false")
     try:  # values of the wrong type surface as TypeError in the constructors
         spec = GridSpec.from_dict(header["spec"])
         mask = ConnectionMask(*(np.array(header["mask"][k], bool) for k in _MASK_KEYS))
-        model = build_grid(spec, hw, mask=mask, seed=header["init_seed"],
-                           prune_masked=header["prune_masked"])
+        model = build_grid(spec, hw, mask=mask, seed=header["init_seed"])
         params = model.named_parameters()
         optim = Adam(params, **{k: v for k, v in header["optim"].items() if k != "t"})
     except TypeError as e:

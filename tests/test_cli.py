@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from gridseg.cli import main
-from gridseg.data import generate_scene, read_pgm, write_ppm
+from gridseg.data import generate_dataset, generate_scene, read_pgm, write_ppm
 from gridseg.gradcheck import GradcheckReport
+from gridseg.metrics import evaluate_scenes
 from gridseg.train import load_checkpoint
 
 TINY = {
@@ -123,6 +124,26 @@ class TestTrainEvalInfer:
         b, _, _ = load_checkpoint(straight)
         for (n, p), (_, q) in zip(a.named_parameters(), b.named_parameters()):
             assert np.array_equal(p.data, q.data), n
+
+    def test_eval_scores_the_seeds_after_the_training_scenes(self, capsys, tmp_path,
+                                                            tiny_config):
+        ckpt = str(tmp_path / "m.grdn")
+        run(capsys, "train", "--config", tiny_config, "--checkpoint", ckpt, "--epochs", "0")
+        code, out, _ = run(capsys, "eval", "--config", tiny_config, "--checkpoint", ckpt)
+        model, _, _ = load_checkpoint(ckpt)
+        held_out = generate_dataset(3, seed=3 + 8, width=24, height=24, num_classes=4)
+        assert code == 0
+        assert json.loads(out) == json.loads(json.dumps(evaluate_scenes(model, held_out)))
+
+    def test_resume_with_fewer_epochs_is_usage_error(self, capsys, tmp_path, tiny_config):
+        ckpt = tmp_path / "m.grdn"
+        run(capsys, "train", "--config", tiny_config, "--checkpoint", str(ckpt))
+        before = ckpt.read_bytes()
+        code, out, err = run(capsys, "train", "--config", tiny_config, "--checkpoint",
+                             str(ckpt), "--resume", str(ckpt), "--epochs", "1")
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "2 epochs done" in err and "the 1 asked for" in err
+        assert ckpt.read_bytes() == before
 
 
 class TestExitCodes:

@@ -32,7 +32,6 @@ from gridseg import (
     stream_dims,
     symmetric_columns,
 )
-from gridseg.grid import _activity
 
 
 def spec_2s(**kw):
@@ -95,16 +94,18 @@ class TestStreamDims:
 
 class TestActivity:
     def test_structural_first_sub_column_fills_all_streams(self):
-        spec = GridSpec(5, symmetric_columns(3, 3), 16, 19)
-        act = _activity(spec, None)
-        assert act[:, 0].tolist() == [True, False, False, False, False]
-        assert act[:, 1:].all()  # one sub column cascades to every stream
+        model = build_grid(GridSpec(5, symmetric_columns(3, 3), 2, 2), (16, 16))
+        # only stream 0 carries a value (the stem) into the first column
+        assert [b.identity for b in model.plan if b.col == 0] == [True, False, False,
+                                                                  False, False]
+        # one sub column cascades to every stream
+        assert sorted((b.row, b.col) for b in model.plan) == [(i, t) for i in range(5)
+                                                              for t in range(6)]
 
     def test_up_only_grid_keeps_single_stream(self):
-        spec = GridSpec(3, ("up", "up"), 4, 2)
-        act = _activity(spec, None)
-        assert act[0].tolist() == [True, True, True]
-        assert not act[1:].any()
+        model = build_grid(GridSpec(3, ("up", "up"), 4, 2), (8, 8))
+        assert sorted(model.blocks) == [(0, 0), (0, 1)]
+        assert [(b.row, b.col) for b in model.plan] == [(0, 0), (0, 1)]
 
 
 class TestForwardShapes:
@@ -188,33 +189,26 @@ GATES_3S = [(0, 0), (1, 1), (2, 2), (1, 3)]
 
 class TestPresets:
     def test_full_matches_structural(self):
-        spec = spec_3s()
-        mask = preset_mask("full", spec)
-        assert np.array_equal(_activity(spec, mask), _activity(spec, None))
+        model = build_grid(spec_3s(), (16, 16), mask=preset_mask("full", spec_3s()))
+        assert sorted((b.row, b.col) for b in model.plan) == sorted(model.blocks)
 
     def test_conv_deconv_single_path(self):
         model = build_grid(spec_3s(mask="conv_deconv"), (16, 16))
-        assert model.eval_order == PATH_3S
+        assert [(b.row, b.col) for b in model.plan] == PATH_3S
         assert model.residual_gate_ids() == GATES_3S
-        # graph walk: on a single path every computed block has exactly
-        # one incoming source (its residual rides the identity, so it is
-        # not a second source)
-        act = model._masked_act
-        for (i, t) in model.eval_order:
-            sources = 0
-            if model.mask.horizontal_on[i, t] and act[i, t]:
-                sources += 1
-            if model.blocks[(i, t)].vert is not None and model.mask.vertical_on[i, t]:
-                j = i - 1 if model.spec.column_kinds[t] == "sub" else i + 1
-                if act[j, t + 1]:
-                    sources += 1
-            assert sources == 1, (i, t)
+        # on a single path every computed block has exactly one incoming
+        # source (its residual rides the identity, so it is not a second
+        # source), and a vertical source is the block's neighbour on the path
+        for prev, b in zip([None] + model.plan, model.plan):
+            assert b.identity + (b.src is not None) == 1, (b.row, b.col)
+            if b.src is not None:
+                assert (b.src, b.col) == (prev.row, prev.col)
 
     def test_conv_deconv_five_streams_path(self):
         spec = GridSpec(5, symmetric_columns(3, 3), 4, 2, mask="conv_deconv")
         model = build_grid(spec, (16, 16))
         assert model.residual_gate_ids() == [(0, 0), (2, 1), (3, 2), (4, 3), (2, 4), (1, 5)]
-        assert len(model.eval_order) == 14
+        assert len(model.plan) == 14
 
     def test_conv_deconv_matches_sequential_composition(self):
         model = build_grid(spec_3s(mask="conv_deconv"), (16, 16), seed=11)
@@ -246,11 +240,9 @@ class TestPresets:
         assert sorted(zip(*np.nonzero(extra))) == [(0, 1), (0, 2), (0, 3), (1, 2)]
         assert np.array_equal(mask.vertical_on, base.vertical_on)
         model = build_grid(spec, (16, 16))
-        act = model._masked_act
         # return blocks fuse the skip wire with the upsampled value
         for (i, t) in [(1, 2), (0, 3)]:
-            assert act[i, t] and mask.horizontal_on[i, t]
-            assert mask.vertical_on[i, t]
+            assert model.blocks[(i, t)].identity and model.blocks[(i, t)].src == i + 1
         x = np.random.default_rng(7).normal(size=(1, 3, 16, 16)).astype(np.float32)
         assert model.forward(x).shape == (1, 3, 16, 16)
 
@@ -260,7 +252,7 @@ class TestPresets:
         assert mask.horizontal_on.all() and mask.vertical_on.all()
         assert mask.residual_on[0].all() and not mask.residual_on[1:].any()
         model = build_grid(spec, (16, 16))
-        assert np.array_equal(model._masked_act, _activity(spec, None))
+        assert len(model.plan) == len(model.blocks)
         assert model.residual_gate_ids() == [(0, 0), (0, 1), (0, 2), (0, 3)]
 
     def test_presets_reject_bad_layouts(self):
@@ -326,18 +318,6 @@ class TestMaskedAllocation:
         for (_, x), (_, y) in zip(pa, pb):
             assert np.array_equal(x.data, y.data)
 
-    def test_prune_drops_masked_parameters(self):
-        full = build_grid(spec_3s(mask="conv_deconv"), (16, 16), seed=3)
-        pruned = build_grid(spec_3s(mask="conv_deconv"), (16, 16), seed=3,
-                            prune_masked=True)
-        assert count_params_exact(pruned) < count_params_exact(full)
-        # stem 118 + head (3*4+3)=15 + path units:
-        #   res ch4 312, down 4->8 304, res ch8 1200, down 8->16 1184,
-        #   res ch16 4704, up 16->8 1192, res ch8 1200, up 8->4 308
-        assert count_params_exact(pruned) == 118 + 15 + 10404
-        x = np.random.default_rng(8).normal(size=(1, 3, 16, 16)).astype(np.float32)
-        assert np.array_equal(pruned.forward(x).shape, full.forward(x).shape)
-
 
 class TestCounting:
     def test_param_estimate_frozen_values(self):
@@ -402,6 +382,11 @@ class TestCounting:
         rep = grid_report(build_grid(spec_2s(), (8, 8)))
         text = json.dumps(rep, sort_keys=True)
         assert json.loads(text)["exact_params"] == 2564  # matches the hand count
+
+    def test_report_layout_follows_the_plan(self):
+        rep = grid_report(build_grid(spec_3s(mask="conv_deconv"), (16, 13)))
+        assert rep["eval_order"] == [f"s{i}c{t + 1}" for i, t in PATH_3S]
+        assert rep["stream_shapes"] == [[4, 16, 13], [8, 8, 7], [16, 4, 4]]
 
 
 class TestFuseBlock:
@@ -503,52 +488,36 @@ def _tally_cases():
         for fusion in ("sum", "concat"):
             for vres in (False, True):
                 spec = spec_3s(mask=mask, fusion=fusion, vertical_residual=vres)
-                cases.append(pytest.param(spec, False, id=f"{mask}-{fusion}-vres{int(vres)}"))
-    for mask in ("conv_deconv", "u_net", "frrn"):
-        for fusion in ("sum", "concat"):
-            cases.append(pytest.param(spec_3s(mask=mask, fusion=fusion), True,
-                                      id=f"{mask}-{fusion}-pruned"))
+                cases.append(pytest.param(spec, id=f"{mask}-{fusion}-vres{int(vres)}"))
     for fusion in ("sum", "concat"):
         spec = GridSpec(3, ("sub", "up", "sub", "up"), 2, 3, fusion=fusion)
-        cases.append(pytest.param(spec, False, id=f"interleaved-{fusion}"))
-    cases.append(pytest.param(GridSpec(1, (), 2, 3), False, id="no-columns"))
+        cases.append(pytest.param(spec, id=f"interleaved-{fusion}"))
+    cases.append(pytest.param(GridSpec(1, (), 2, 3), id="no-columns"))
     return cases
 
 
 # sha256 of the [name, shape] tables and plan flags of a 4-stream, 3 sub + 2 up grid
 _BLOCK_RULE_DIGESTS = {
-    ("conv_deconv", "sum", False):
+    ("conv_deconv", "sum"):
         "fa46445952130224f81c2b3e449e5d3567dab138406545fa997f8ae75a79a10a",
-    ("conv_deconv", "sum", True):
-        "d2ec0431fee5bd2c63f5f1ea7868a89e73107811e9e2d66391fe26b9295d7808",
-    ("conv_deconv", "concat", False):
+    ("conv_deconv", "concat"):
         "e8d9cdb086ed322179fb145173c9b1ab6abc9865feafb72c9e7921de049e0da5",
-    ("conv_deconv", "concat", True):
-        "c5a9fa702d7ddccdae00683424e8453d144cd48f041811cf8cc732edaf44609b",
-    ("u_net", "sum", False):
+    ("u_net", "sum"):
         "76233809bd984c67eef95865e0c942c72549fbd3ad3e76a3a5b7da56bbfed055",
-    ("u_net", "sum", True):
-        "8405e10b20953f6d8518a2ac47321483945d0551be86b77ae2a76fb42f3840bd",
-    ("u_net", "concat", False):
+    ("u_net", "concat"):
         "841c120222139e837f807ba6aa511c92d565ed469d35a666aa3065bd0ebf25fa",
-    ("u_net", "concat", True):
-        "059094a62eae80a29cb269e343595d9d8166299bb15a3c9a7eb0aa439f12e6f5",
-    ("frrn", "sum", False):
+    ("frrn", "sum"):
         "530f8a70cfa670e34eb6ade2c0c5b44c51a309966b2b6e8ad2ca2e21d5e10b7c",
-    ("frrn", "sum", True):
-        "7807c5de73b63b2151fc1ce840e8f7dab204958282640a3cc9f2d960f4a906af",
-    ("frrn", "concat", False):
+    ("frrn", "concat"):
         "f391d63ea56e52120823f888947bf5a1d7316bca4e197a4a64363d66b9142841",
-    ("frrn", "concat", True):
-        "35d7fdaa5db66198a225ac60be7075d05ed93c8ef7bad200db6ee589888d6e47",
 }
 
 
 class TestPlan:
-    @pytest.mark.parametrize("spec,prune", _tally_cases())
-    def test_activation_tally_counts_every_op_output(self, monkeypatch, spec, prune):
+    @pytest.mark.parametrize("spec", _tally_cases())
+    def test_activation_tally_counts_every_op_output(self, monkeypatch, spec):
         hw = (12, 10)  # odd halvings: 12x10 -> 6x5 -> 3x3
-        model = build_grid(spec, hw, seed=2, prune_masked=prune)
+        model = build_grid(spec, hw, seed=2)
         counter = CountingOps()
         monkeypatch.setattr("gridseg.grid.ops", counter)
         x = np.ones((2, spec.image_channels, *hw), np.float32)
@@ -575,17 +544,20 @@ class TestPlan:
         assert a.elements == b.elements
         assert np.array_equal(out_a, out_b)
 
-    @pytest.mark.parametrize("preset,fusion,prune", list(_BLOCK_RULE_DIGESTS))
-    def test_block_rule_pinned(self, preset, fusion, prune):
+    # ids keep the -False suffix of the former (preset, fusion, prune) keys, so each
+    # case's test id is unchanged
+    @pytest.mark.parametrize("preset,fusion", list(_BLOCK_RULE_DIGESTS),
+                             ids=[f"{p}-{f}-False" for p, f in _BLOCK_RULE_DIGESTS])
+    def test_block_rule_pinned(self, preset, fusion):
         spec = GridSpec(4, symmetric_columns(3, 2), base_channels=2, num_classes=3,
                         fusion=fusion, mask=preset)
-        model = build_grid(spec, (8, 8), prune_masked=prune)
+        model = build_grid(spec, (8, 8))
         doc = [[[n, list(p.shape)] for n, p in model.named_parameters()],
                [[n, list(b.shape)] for n, b in model.named_buffers()],
                [[b.row, b.col, b.identity, b.residual, b.src, list(b.proj_slots)]
                 for b in model.plan]]
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == \
-            _BLOCK_RULE_DIGESTS[(preset, fusion, prune)]
+            _BLOCK_RULE_DIGESTS[(preset, fusion)]
 
     def test_v1_name_tables_pinned(self):
         # 3 streams, 6 sub + 5 up columns, concat fusion with 1x1 vertical

@@ -49,9 +49,7 @@ class TestBatching:
 
     def test_config_round_trip(self):
         cfg = TrainConfig(epochs=3, lr=0.01, lr_drop_epoch=2, lr_after_drop=0.001)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
-        with pytest.raises(ValueError, match="unknown train config"):
-            TrainConfig.from_dict({"epochs": 1, "momentum": 0.9})
+        assert TrainConfig(**cfg.to_dict()) == cfg
         with pytest.raises(ValueError, match="go together"):
             TrainConfig(epochs=1, lr_drop_epoch=1)
 
@@ -131,6 +129,11 @@ def _valid_checkpoint() -> bytes:
 
 VALID_CHECKPOINT = _valid_checkpoint()
 HEADER_END = 16 + struct.unpack("<Q", VALID_CHECKPOINT[8:16])[0]
+
+
+def _write(path: Path, raw: bytes) -> str:
+    path.write_bytes(raw)
+    return str(path)
 
 
 class TestCheckpoints:
@@ -309,10 +312,14 @@ class TestCheckpoints:
         (lambda h: h["optim"].update(eps=float("inf")), "eps must be"),
         (lambda h: h["optim"].update(lr_decay=1.5, decay_mode="multiplicative"),
          "lr_decay must be below 1"),
+        (lambda h: h.update(prune_masked=0), "prune_masked must be true or false"),
+        (lambda h: h.update(prune_masked="false"), "prune_masked must be true or false"),
+        (lambda h: h.update(prune_masked=None), "prune_masked must be true or false"),
     ], ids=["mask_empty", "optim_without_t", "spec_without_n_streams", "train_empty",
             "negative_epochs_done", "one_side_input_hw", "float_init_seed",
             "lr_not_a_number", "n_streams_not_an_int", "infinite_lr_decay", "infinite_eps",
-            "multiplicative_lr_decay_above_one"])
+            "multiplicative_lr_decay_above_one", "prune_masked_int", "prune_masked_string",
+            "prune_masked_null"])
     def test_malformed_nested_value_rejected(self, tmp_path, edit, message):
         header, payload = split_checkpoint(VALID_CHECKPOINT)
         edit(header)
@@ -320,6 +327,43 @@ class TestCheckpoints:
         path.write_bytes(join_checkpoint(header, payload))
         with pytest.raises(ValueError, match=message) as info:
             load_checkpoint(str(path))
+        assert "\n" not in str(info.value)
+
+    def test_pruned_header_over_full_mask_loads(self, tmp_path):
+        # a model pruned under the all-on mask allocates every unit, so its
+        # tables are the full grid's
+        header, payload = split_checkpoint(VALID_CHECKPOINT)
+        assert header["prune_masked"] is False  # the v1 layout keeps the key
+        header["prune_masked"] = True
+        model, _, info = load_checkpoint(_write(tmp_path / "m.grdn",
+                                                join_checkpoint(header, payload)))
+        want, _, _ = load_checkpoint(_write(tmp_path / "v.grdn", VALID_CHECKPOINT))
+        assert info == {"seed": 5, "epochs_done": 2}
+        for (n, p), (_, q) in zip(model.named_parameters(), want.named_parameters()):
+            assert np.array_equal(p.data, q.data), n
+
+    def test_pruned_header_over_path_mask_rejected(self, tmp_path):
+        # the file a pruned conv_deconv model wrote: its tables list only
+        # the units that run
+        model = build_grid(dataclasses.replace(SPEC, mask="conv_deconv"), (8, 8))
+        path = str(tmp_path / "m.grdn")
+        save_checkpoint(path, model, make_optimizer(model, TrainConfig(epochs=1)), 0, 0)
+        header, _ = split_checkpoint(open(path, "rb").read())
+        runs = {"stem", "head"} | {f"{b.name}.{u}" for b in model.plan for u, on in
+                                   (("res", b.residual), ("vert", b.src is not None)) if on}
+
+        def kept(table):
+            return [[n, shape] for n, shape in table
+                    if n.split(".")[0] in runs or ".".join(n.split(".")[:4]) in runs]
+
+        header.update(prune_masked=True, params=kept(header["params"]),
+                      buffers=kept(header["buffers"]))
+        n_params = sum(int(np.prod(s)) for _, s in header["params"])
+        n_buffers = sum(int(np.prod(s)) for _, s in header["buffers"])
+        assert len(header["params"]) < len(model.named_parameters())
+        payload = bytes(4 * (n_params + n_buffers) + 16 * n_params)
+        with pytest.raises(ValueError, match="parameter table does not match") as info:
+            load_checkpoint(_write(tmp_path / "p.grdn", join_checkpoint(header, payload)))
         assert "\n" not in str(info.value)
 
     @settings(max_examples=150, deadline=None)
