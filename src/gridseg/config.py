@@ -5,8 +5,10 @@ is rejected with the section it appeared in, so typos fail fast instead
 of silently falling back to defaults, and every value must fit its
 field's annotation (an int field takes no float or bool, a float field
 takes ints but no infinity or NaN). ``eval.categories`` must put each of
-the grid's classes in exactly one category. Sections may be given
-partially; missing fields keep their defaults.
+the grid's classes in exactly one category, ``augment.out_size`` must
+reach the grid's minimum input side, and ``augment.crop_min`` must fit
+inside the generated scenes. Sections may be given partially; missing
+fields keep their defaults.
 """
 
 from __future__ import annotations
@@ -97,6 +99,13 @@ class RunConfig:
         if not _fits(seed, int) or seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         out["seed"] = seed
+        aug, grid, data = out["augment"], out["grid"], out["data"]
+        if aug.out_size < grid.min_side:
+            raise ConfigError(f"section 'augment': out_size {aug.out_size} is below the "
+                              f"grid's minimum input side {grid.min_side}")
+        if aug.crop_min > min(data.width, data.height):
+            raise ConfigError(f"section 'augment': crop_min {aug.crop_min} exceeds the "
+                              f"{data.width}x{data.height} scenes of section 'data'")
         if out["eval"].categories is not None:
             try:
                 CategoryMap(out["eval"].categories, out["grid"].num_classes)

@@ -203,6 +203,8 @@ def _read_netpbm(path: str, magic: bytes) -> tuple[int, int, bytes]:
     while len(fields) < 3:
         while i < len(data) and data[i:i + 1].isspace():
             i += 1
+        if i == len(data):
+            raise ValueError(f"{path}: header ends before width, height and maxval")
         if data[i:i + 1] == b"#":  # comment runs to end of line
             while i < len(data) and data[i:i + 1] != b"\n":
                 i += 1
@@ -210,9 +212,14 @@ def _read_netpbm(path: str, magic: bytes) -> tuple[int, int, bytes]:
         j = i
         while j < len(data) and not data[j:j + 1].isspace():
             j += 1
-        fields.append(int(data[i:j]))
+        try:
+            fields.append(int(data[i:j]))
+        except ValueError:
+            raise ValueError(f"{path}: header field {data[i:j]!r} is not an integer") from None
         i = j
     w, h, maxval = fields
+    if w < 1 or h < 1:
+        raise ValueError(f"{path}: width and height must be positive, got {w}x{h}")
     if maxval != 255:
         raise ValueError(f"{path}: only maxval 255 supported, got {maxval}")
     return w, h, data[i + 1:]

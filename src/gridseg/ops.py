@@ -19,6 +19,12 @@ Every op but batch norm states one gradient map per input, from the
 output gradient to that input's gradient, and hands them to `_result`,
 the one place the tape-recording rule is written: nothing runs when the
 output got no gradient, and a map runs only for an input that needs one.
+A map returns a fresh array, the output gradient itself (`add`) or a
+view of it (`concat_channels`, disjoint slices). Since an empty gradient
+slot keeps its first contribution without a copy (see
+:meth:`Tensor.accumulate_grad`), `_result` also keeps any two slots from
+sharing one array: only the first input handed the output gradient
+itself may keep it.
 """
 
 from __future__ import annotations
@@ -46,11 +52,17 @@ def _result(y: np.ndarray, inputs, tape: Tape | None, grads) -> Tensor:
     if tape is not None and out.requires_grad:
 
         def _bwd():
-            if out.grad is None:
+            g = out.grad
+            if g is None:
                 return
+            kept = False  # whether a slot now holds g itself
             for t, grad in zip(inputs, grads):
                 if t.requires_grad:
-                    t.accumulate_grad(grad(out.grad))
+                    d = grad(g)
+                    if d is g and kept and t.grad is None:
+                        d = g.copy()
+                    t.accumulate_grad(d)
+                    kept = kept or t.grad is g
 
         tape.record(_bwd)
     return out
@@ -319,20 +331,24 @@ def batch_norm(x: Tensor, bn: BatchNorm, training: bool, tape: Tape | None = Non
                 return
             gsum = g.sum(axis=(0, 2, 3))
             gxhat = (g * xhat).sum(axis=(0, 2, 3))
+            if x.requires_grad:
+                gw = gamma.data.reshape(1, c, 1, 1)
+                if training:
+                    # standard batch-norm input gradient with batch moments,
+                    # (gw*inv/m) * (m*g - gsum - xhat*gxhat), one in-place
+                    # ufunc per term in that order: two full-size arrays
+                    dx = m * g
+                    dx -= gsum.reshape(1, c, 1, 1)
+                    dx -= xhat * gxhat.reshape(1, c, 1, 1)
+                    dx *= gw * inv.reshape(1, c, 1, 1) / m
+                else:
+                    dx = g * gw * inv.reshape(1, c, 1, 1)
+                x.accumulate_grad(dx)
+            # last: a slot may keep gsum or gxhat as its own array
             if gamma.requires_grad:
                 gamma.accumulate_grad(gxhat)
             if beta.requires_grad:
                 beta.accumulate_grad(gsum)
-            if x.requires_grad:
-                gw = gamma.data.reshape(1, c, 1, 1)
-                if training:
-                    # standard batch-norm input gradient with batch moments
-                    dx = (gw * inv.reshape(1, c, 1, 1) / m) * (
-                        m * g - gsum.reshape(1, c, 1, 1) - xhat * gxhat.reshape(1, c, 1, 1)
-                    )
-                else:
-                    dx = g * gw * inv.reshape(1, c, 1, 1)
-                x.accumulate_grad(dx)
 
         tape.record(_bwd)
     return out

@@ -7,6 +7,14 @@ execution order, and :func:`backward` replays them in exact reverse
 order. Because every closure *adds* into its inputs' gradient slots, a
 value consumed by several later operations accumulates all of its
 gradient contributions before its own producer runs.
+
+An empty gradient slot takes its first contribution as it is, without a
+copy, when that array is writeable and has the tensor's dtype and shape;
+later contributions are added into it in place. An input's slot may so
+hold the output gradient of the op that consumed it, or a view of it:
+that op has run its closure and does not read it again, but the input's
+later contributions overwrite it. So after :func:`backward` only leaves
+(parameters and inputs) promise a meaningful ``grad``.
 """
 
 from __future__ import annotations
@@ -40,7 +48,18 @@ class Tensor:
         return self.data.size
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add the contribution ``g`` into this tensor's gradient slot.
+
+        An empty slot keeps ``g`` itself when it is writeable and its
+        dtype and shape match the tensor's; the caller hands over ``g``
+        and must not let any other slot hold it. Otherwise the slot starts
+        at zero in the tensor's dtype and ``g`` is added, which rounds a
+        float64 contribution to a float32 tensor once.
+        """
         if self.grad is None:
+            if g.dtype == self.data.dtype and g.shape == self.data.shape and g.flags.writeable:
+                self.grad = g
+                return
             self.grad = np.zeros_like(self.data)
         self.grad += g
 

@@ -244,6 +244,20 @@ class TestExitCodes:
                            "--checkpoint", str(tmp_path / "m.grdn"))
         assert code == 1 and "categories" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["train", "report"])
+    @pytest.mark.parametrize("augment, message", [
+        ({"out_size": 1}, "out_size 1 is below the grid's minimum input side 2"),
+        ({"crop_min": 30, "crop_max": 40}, "crop_min 30 exceeds the 24x24 scenes"),
+    ])
+    def test_config_that_cannot_train_is_usage_error(self, capsys, tmp_path, command,
+                                                     augment, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**TINY, "augment": {**TINY["augment"], **augment}}))
+        argv = ["--checkpoint", str(tmp_path / "m.grdn")] if command == "train" else []
+        code, out, err = run(capsys, command, "--config", str(path), *argv)
+        assert code == 1 and message in err and err.count("\n") == 1 and out == ""
+        assert not (tmp_path / "m.grdn").exists()
+
     def test_bad_optimizer_setting_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({**TINY, "train": {**TINY["train"], "eps": 0.0}}))

@@ -112,6 +112,23 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="'eval': categories: .*" + message):
             RunConfig.from_dict({"eval": {"categories": categories}})
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"augment": {"out_size": 8}}, "out_size 8 is below the grid's minimum input side 16"),
+        ({"grid": {"n_streams": 3, "column_kinds": ["sub", "up"]},
+          "augment": {"out_size": 3}}, "out_size 3 is below the grid's minimum input side 4"),
+        ({"augment": {"crop_min": 70, "crop_max": 80}}, "crop_min 70 exceeds the 64x64 scenes"),
+        ({"data": {"width": 96, "height": 24}}, "crop_min 32 exceeds the 96x24 scenes"),
+    ])
+    def test_configs_that_cannot_train_rejected(self, doc, message):
+        with pytest.raises(ConfigError, match="section 'augment': " + message):
+            RunConfig.from_dict(doc)
+
+    def test_smallest_trainable_sizes_accepted(self):
+        cfg = RunConfig.from_dict({"augment": {"crop_min": 40, "crop_max": 80, "out_size": 16},
+                                   "data": {"width": 96, "height": 40}})
+        assert cfg.augment.out_size == cfg.grid.min_side
+        assert cfg.augment.crop_min == cfg.data.height
+
     def test_categories_checked_against_configured_classes(self):
         categories = {"bg": [0], "fg": [1, 2, 3, 4, 5]}
         with pytest.raises(ConfigError, match="outside"):

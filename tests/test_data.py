@@ -232,6 +232,24 @@ class TestImageIO:
         with pytest.raises(ValueError, match="expected P6"):
             read_ppm(q)
 
+    @pytest.mark.parametrize("header, message", [
+        (b"P6\n-2 2 255", "width and height must be positive, got -2x2"),
+        (b"P5\n3 0\n255\n", "width and height must be positive, got 3x0"),
+        (b"P6\n4", "header ends before"),
+        (b"P6\n4 4 # no maxval", "header ends before"),
+        (b"P6", "header ends before"),
+        (b"P6\n4 x 255\n", "header field b'x' is not an integer"),
+    ])
+    def test_malformed_header_rejected(self, tmp_path, header, message):
+        path = str(tmp_path / "bad.pnm")
+        with open(path, "wb") as f:
+            f.write(header)
+        read = read_ppm if header.startswith(b"P6") else read_pgm
+        with pytest.raises(ValueError) as info:
+            read(path)
+        text = str(info.value)
+        assert text.startswith(f"{path}: ") and message in text and "\n" not in text
+
     def test_export_dataset_round_trip(self, tmp_path):
         import json
         scenes = generate_dataset(2, seed=50, width=32, height=24)

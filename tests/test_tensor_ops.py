@@ -8,17 +8,23 @@ from hypothesis import strategies as st
 from gridseg import (
     BatchNorm,
     ConvParams,
+    GridSpec,
     Tape,
     Tensor,
     add,
     backward,
     batch_norm,
+    build_grid,
     concat_channels,
     conv2d,
     deconv2d_up,
     relu,
     softmax_cross_entropy,
+    symmetric_columns,
 )
+from gridseg.config import RunConfig
+from gridseg.data import AugmentConfig, generate_dataset
+from gridseg.train import TrainConfig, make_optimizer, train_epoch
 
 
 # ---------------------------------------------------------------------------
@@ -242,8 +248,9 @@ def batch_norm_mean_var(x, bn, training):
                                    - xhat * gxhat.reshape(1, c, 1, 1))
         else:
             dx = g * gw * inv
-        # accumulated into gradient slots that start at zero
-        return [y, running_mean, running_var] + [np.zeros_like(a) + a for a in (dx, gxhat, gsum)]
+        # each is the first contribution to an empty gradient slot, which
+        # keeps it as it is (a -0.0 stays -0.0)
+        return [y, running_mean, running_var, dx, gxhat, gsum]
 
     return with_grads
 
@@ -503,3 +510,137 @@ class TestRecordingRule:
         backward(tape, loss)
         assert z.grad is not None
         assert all(t.grad is None for t in inputs)
+
+
+# ---------------------------------------------------------------------------
+# gradient slots
+# ---------------------------------------------------------------------------
+
+def _loss_grad(y, labels):
+    """Gradient of the mean cross-entropy at logits ``y``, taken through a leaf."""
+    z = Tensor(y.copy(), requires_grad=True)
+    tape = Tape()
+    backward(tape, softmax_cross_entropy(z, labels, tape=tape))
+    return z.grad
+
+
+def _zero_fill_accumulate_grad(self, g):
+    """Reference slot rule: every slot starts at zero and adds each contribution."""
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+def _train_one_step(spec):
+    """One train step of a fresh ``spec`` grid on fixed scenes; returns
+    (model, optimizer)."""
+    model = build_grid(spec, (16, 16), seed=4)
+    cfg = TrainConfig(epochs=1, batch_size=2, lr=1e-2)
+    optim = make_optimizer(model, cfg)
+    scenes = generate_dataset(2, seed=11, width=24, height=24, num_classes=spec.num_classes)
+    rec = train_epoch(model, optim, scenes, AugmentConfig(16, 24, 16), cfg, seed=5, epoch=0)
+    assert rec["steps"] == 1
+    return model, optim
+
+
+DESK = RunConfig().grid
+CONCAT = GridSpec(3, symmetric_columns(1, 1), base_channels=4, num_classes=4,
+                  fusion="concat", vertical_residual=True)
+
+
+class TestGradientSlots:
+    LABELS = np.array([[[0, 1], [1, 0]], [[1, 1], [0, 255]]])
+
+    def _leaf(self, rng, channels=2):
+        return Tensor(rng.normal(size=(2, channels, 2, 2)), requires_grad=True)
+
+    def _backward(self, out, tape):
+        """Back-propagate the loss at ``out``; returns the gradient ``out`` received."""
+        backward(tape, softmax_cross_entropy(out, self.LABELS, tape=tape))
+        return _loss_grad(out.data, self.LABELS)
+
+    def test_add_of_a_tensor_to_itself_doubles(self):
+        a = self._leaf(np.random.default_rng(30))
+        tape = Tape()
+        g = self._backward(add(a, a, tape), tape)
+        assert np.array_equal(a.grad, 2 * g)
+
+    def test_add_gives_each_input_its_own_array(self):
+        rng = np.random.default_rng(31)
+        a, b = self._leaf(rng), self._leaf(rng)
+        tape = Tape()
+        g = self._backward(add(a, b, tape), tape)
+        assert np.array_equal(a.grad, g) and np.array_equal(b.grad, g)
+        assert not np.shares_memory(a.grad, b.grad)
+
+    def test_concat_of_a_tensor_with_itself_sums_both_slices(self):
+        a = self._leaf(np.random.default_rng(32), channels=1)
+        tape = Tape()
+        g = self._backward(concat_channels([a, a], tape), tape)
+        assert np.array_equal(a.grad, g[:, :1] + g[:, 1:])
+
+    @pytest.mark.parametrize("x_first", [True, False])
+    def test_tensor_consumed_by_two_ops_gets_the_sum(self, x_first):
+        """x feeds add(x, y) and relu; the add hands its output gradient to
+        both x and y, and the later relu contribution to x must not reach y."""
+        rng = np.random.default_rng(33)
+        x, y = self._leaf(rng), self._leaf(rng)
+        tape = Tape()
+        r = relu(x, tape)
+        s = add(x, y, tape) if x_first else add(y, x, tape)
+        g = self._backward(concat_channels([s, r], tape), tape)
+        assert np.array_equal(y.grad, g[:, :2])
+        assert np.array_equal(x.grad, g[:, :2] + g[:, 2:] * (x.data > 0))
+
+    def test_matching_contribution_is_kept_as_is(self):
+        t = Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
+        g = np.arange(6, dtype=np.float32).reshape(2, 3)
+        t.accumulate_grad(g)
+        assert t.grad is g
+        t.accumulate_grad(np.ones((2, 3), np.float32))
+        assert np.array_equal(t.grad, np.arange(6).reshape(2, 3) + 1)
+
+    def test_float64_contribution_to_float32_slot_is_cast(self):
+        t = Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
+        g = np.random.default_rng(34).normal(size=(2, 3))
+        t.accumulate_grad(g)
+        assert t.grad.dtype == np.float32 and not np.shares_memory(t.grad, g)
+        assert np.array_equal(t.grad, g.astype(np.float32))
+
+    def test_read_only_contribution_is_copied(self):
+        t = Tensor(np.zeros((2, 3)), requires_grad=True)
+        g = np.broadcast_to(np.arange(3.0), (2, 3))
+        t.accumulate_grad(g)
+        assert t.grad.flags.writeable and not np.shares_memory(t.grad, g)
+        t.accumulate_grad(np.ones((2, 3)))
+        assert np.array_equal(t.grad, [[1, 2, 3], [1, 2, 3]])
+
+    def test_desk_parameter_gradients_are_separate_arrays(self):
+        model = build_grid(DESK, (16, 16), seed=2)
+        rng = np.random.default_rng(35)
+        tape = Tape()
+        logits = model.forward(rng.normal(size=(2, 3, 16, 16)).astype(np.float32),
+                               training=True, tape=tape)
+        backward(tape, softmax_cross_entropy(logits, rng.integers(0, 4, (2, 16, 16)),
+                                             tape=tape))
+        params = [p for _, p in model.named_parameters()]
+        for p in params:
+            assert p.grad.dtype == p.dtype and p.grad.shape == p.shape
+            assert p.grad.flags.writeable
+        grads = [p.grad for p in params]
+        for i, a in enumerate(grads):
+            assert not any(np.shares_memory(a, b) for b in grads[i + 1:])
+
+    @pytest.mark.parametrize("spec", [DESK, CONCAT], ids=["desk", "concat"])
+    def test_train_step_bit_equal_to_zero_filled_slots(self, spec, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(Tensor, "accumulate_grad", _zero_fill_accumulate_grad)
+            want, want_optim = _train_one_step(spec)
+        got, got_optim = _train_one_step(spec)
+        pairs = [(a.data, b.data) for (_, a), (_, b) in
+                 zip(got.named_parameters(), want.named_parameters(), strict=True)]
+        pairs += [(a, b) for (_, a), (_, b) in
+                  zip(got.named_buffers(), want.named_buffers(), strict=True)]
+        pairs += list(zip(got_optim.m + got_optim.v, want_optim.m + want_optim.v, strict=True))
+        for a, b in pairs:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
