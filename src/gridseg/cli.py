@@ -126,6 +126,14 @@ def _cmd_train(args) -> int:
     if args.resume:
         model, optim, info = load_checkpoint(args.resume, expect_spec=cfg.grid)
         seed, epochs_done = info["seed"], info["epochs_done"]
+        if args.seed is not None and args.seed != seed:
+            raise UsageError(f"{args.resume} was trained with seed {seed}, not the "
+                             f"--seed {args.seed} given")
+        for name, value in optim.hyperparams().items():  # lr follows the config's schedule
+            want = getattr(cfg.train, name)
+            if name != "lr" and value != want:
+                raise UsageError(f"{args.resume}: checkpoint optimizer mismatch: {name} is "
+                                 f"{value!r}, expected {want!r}")
         if epochs_done > cfg.train.epochs:
             raise UsageError(f"{args.resume} has {epochs_done} epochs done, more than the "
                              f"{cfg.train.epochs} asked for")

@@ -6,8 +6,9 @@ of silently falling back to defaults, and every value must fit its
 field's annotation (an int field takes no float or bool, a float field
 takes ints but no infinity or NaN). ``eval.categories`` must put each of
 the grid's classes in exactly one category, ``augment.out_size`` must
-reach the grid's minimum input side, and ``augment.crop_min`` must fit
-inside the generated scenes. Sections may be given partially; missing
+reach the grid's minimum input side, ``augment.crop_min`` must fit
+inside the generated scenes, and ``grid.mask`` must name a preset that
+can be built for the grid. Sections may be given partially; missing
 fields keep their defaults.
 """
 
@@ -20,7 +21,7 @@ import typing
 from dataclasses import dataclass, field, fields
 
 from .data import AugmentConfig
-from .grid import GridSpec, symmetric_columns
+from .grid import GridSpec, preset_mask, symmetric_columns
 from .metrics import CategoryMap
 from .train import TrainConfig
 
@@ -106,6 +107,10 @@ class RunConfig:
         if aug.crop_min > min(data.width, data.height):
             raise ConfigError(f"section 'augment': crop_min {aug.crop_min} exceeds the "
                               f"{data.width}x{data.height} scenes of section 'data'")
+        try:
+            preset_mask(grid.mask, grid)
+        except ValueError as e:
+            raise ConfigError(f"section 'grid': {e}") from None
         if out["eval"].categories is not None:
             try:
                 CategoryMap(out["eval"].categories, out["grid"].num_classes)

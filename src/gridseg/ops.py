@@ -15,16 +15,9 @@ sub-pixel form of a transposed convolution, Shi et al., arXiv
 primitive serves both the upsampling forward pass and the
 input-gradient of every convolution; stride 1 is its one-phase case.
 
-Every op but batch norm states one gradient map per input, from the
-output gradient to that input's gradient, and hands them to `_result`,
-the one place the tape-recording rule is written: nothing runs when the
-output got no gradient, and a map runs only for an input that needs one.
-A map returns a fresh array, the output gradient itself (`add`) or a
-view of it (`concat_channels`, disjoint slices). Since an empty gradient
-slot keeps its first contribution without a copy (see
-:meth:`Tensor.accumulate_grad`), `_result` also keeps any two slots from
-sharing one array: only the first input handed the output gradient
-itself may keep it.
+Every op states one gradient map per input, from the output gradient
+to that input's gradient, and hands them to `_result`, the one place
+where the rule for recording an op's backward on the tape is written.
 """
 
 from __future__ import annotations
@@ -41,8 +34,14 @@ from .tensor import Tape, Tensor
 def _result(y: np.ndarray, inputs, tape: Tape | None, grads) -> Tensor:
     """``Tensor(y)`` for an op over ``inputs``, its backward recorded on ``tape``.
 
-    ``grads[k]`` maps the output gradient to the gradient of ``inputs[k]``.
-    Ops pass ``tape and (...)``, so an untaped call builds no maps.
+    ``grads[k]`` maps the output gradient to the gradient of ``inputs[k]``;
+    ops pass ``tape and (...)``, so an untaped call builds no maps. Nothing
+    runs when the output got no gradient, and the maps run in input order,
+    each only for an input that needs a gradient. An empty gradient slot
+    keeps its first contribution as its own array (see
+    :meth:`Tensor.accumulate_grad`), so maps that share an array read it
+    before the slot that keeps it, and only the first input handed the
+    output gradient itself (`add`) may keep it: no two slots share an array.
     """
     out = Tensor(y)
     for t in inputs:  # a loop, not any(): no generator on the untaped path
@@ -152,20 +151,20 @@ def _adjoint_corr2d(x, w, stride, padding, out_hw) -> np.ndarray:
     sub-pixel convolution form of the transposed convolution (arXiv
     1609.07009). The window carries zeros only where it runs past the
     border of x; a phase with no taps (a 1x1 kernel at stride 2) stays
-    zero. Any output-padding implied by out_hw is covered by the same
-    windows. At stride 1 the one phase is the whole output and is
-    returned as it comes from `_corr2d`.
+    zero. At stride 1 the one phase is the whole output and is returned
+    as it comes from `_corr2d`. out_hw must be a size that `_corr2d` maps
+    back to x's: the implied output padding lies in [0, stride) per axis,
+    and the padding is below the kernel size.
     """
     n, co, h, w_in = x.shape
     _, ci, kh, kw = w.shape
     oh, ow = out_hw
-    if min(kh - 1 - padding[0], kw - 1 - padding[1],
-           oh + padding[0] - (h - 1) * stride - 1,
-           ow + padding[1] - (w_in - 1) * stride - 1) < 0:
-        raise ValueError(
-            f"target {tuple(out_hw)} not reachable from input {(h, w_in)} "
-            f"with kernel {(kh, kw)}, stride {stride}, padding {tuple(padding)}"
-        )
+    opad = (oh - (h - 1) * stride + 2 * padding[0] - kh,
+            ow - (w_in - 1) * stride + 2 * padding[1] - kw)
+    if not (0 <= min(opad) and max(opad) < stride and padding[0] < kh and padding[1] < kw):
+        raise ValueError(f"target {tuple(out_hw)} unreachable from input {(h, w_in)} with "
+                         f"kernel {(kh, kw)}, stride {stride}, padding {tuple(padding)}: "
+                         f"implied output padding {opad}")
     if stride == 1:  # phase (0, 0) of `_phases`: o0 = 0, q0 = padding
         ph, pw = padding
         return _corr2d(_window(x, ph - kh + 1, ph + oh, pw - kw + 1, pw + ow),
@@ -236,8 +235,8 @@ def conv2d(x: Tensor, params: ConvParams, tape: Tape | None = None) -> Tensor:
 def deconv2d_up(x: Tensor, params: ConvParams, target_hw, tape: Tape | None = None) -> Tensor:
     """Transposed convolution, the exact adjoint of the matching stride-2 conv.
 
-    The caller prescribes the output size; the implied output-padding must
-    fall in {0, 1} per axis or the target is rejected.
+    The caller prescribes the output size; `_adjoint_corr2d` rejects one
+    that the matching conv would not map back to the input's size.
     """
     w, b = params.weight, params.bias
     co, ci, kh, kw = w.shape
@@ -249,13 +248,6 @@ def deconv2d_up(x: Tensor, params: ConvParams, target_hw, tape: Tape | None = No
         )
     stride, pad = params.stride, params.padding
     th, tw = int(target_hw[0]), int(target_hw[1])
-    for t, s, k, p, ax in ((th, x.shape[2], kh, pad[0], "h"), (tw, x.shape[3], kw, pad[1], "w")):
-        opad = t - ((s - 1) * stride - 2 * p + k)
-        if opad not in (0, 1):
-            raise ValueError(
-                f"deconv2d_up target {(th, tw)} unreachable from {x.shape[2:]} "
-                f"along {ax} (implied output padding {opad})"
-            )
     y = _adjoint_corr2d(x.data, w.data, stride, pad, (th, tw))
     y += b.data.reshape(1, -1, 1, 1)
     return _result(y, (x, w, b), tape, tape and (
@@ -321,37 +313,35 @@ def batch_norm(x: Tensor, bn: BatchNorm, training: bool, tape: Tape | None = Non
     xhat *= inv.reshape(1, c, 1, 1)
     y = gamma.data.reshape(1, c, 1, 1) * xhat
     y += beta.data.reshape(1, c, 1, 1)
-    out = Tensor(y, requires_grad=x.requires_grad or gamma.requires_grad or beta.requires_grad)
-    if tape is not None and out.requires_grad:
-        # not `_result`: all three gradients share two reductions, each computed once
+    return _result(y, (x, gamma, beta), tape,
+                   tape and _batch_norm_grads(xhat, inv, gamma, m, training))
 
-        def _bwd():
-            g = out.grad
-            if g is None:
-                return
-            gsum = g.sum(axis=(0, 2, 3))
-            gxhat = (g * xhat).sum(axis=(0, 2, 3))
-            if x.requires_grad:
-                gw = gamma.data.reshape(1, c, 1, 1)
-                if training:
-                    # standard batch-norm input gradient with batch moments,
-                    # (gw*inv/m) * (m*g - gsum - xhat*gxhat), one in-place
-                    # ufunc per term in that order: two full-size arrays
-                    dx = m * g
-                    dx -= gsum.reshape(1, c, 1, 1)
-                    dx -= xhat * gxhat.reshape(1, c, 1, 1)
-                    dx *= gw * inv.reshape(1, c, 1, 1) / m
-                else:
-                    dx = g * gw * inv.reshape(1, c, 1, 1)
-                x.accumulate_grad(dx)
-            # last: a slot may keep gsum or gxhat as its own array
-            if gamma.requires_grad:
-                gamma.accumulate_grad(gxhat)
-            if beta.requires_grad:
-                beta.accumulate_grad(gsum)
 
-        tape.record(_bwd)
-    return out
+def _batch_norm_grads(xhat, inv, gamma: Tensor, m: int, training: bool):
+    """`batch_norm`'s gradient maps for x, gamma and beta."""
+    c = inv.size
+    sums = []  # per-channel sums of g and g * xhat, both taken by the first map that runs
+
+    def reduced(g):
+        if not sums:
+            sums.extend((g.sum(axis=(0, 2, 3)), (g * xhat).sum(axis=(0, 2, 3))))
+        return sums
+
+    def dx(g):
+        gw = gamma.data.reshape(1, c, 1, 1)
+        if not training:
+            return g * gw * inv.reshape(1, c, 1, 1)
+        # standard batch-norm input gradient with batch moments,
+        # (gw*inv/m) * (m*g - gsum - xhat*gxhat), one in-place ufunc per
+        # term in that order: two full-size arrays
+        gsum, gxhat = reduced(g)
+        d = m * g
+        d -= gsum.reshape(1, c, 1, 1)
+        d -= xhat * gxhat.reshape(1, c, 1, 1)
+        d *= gw * inv.reshape(1, c, 1, 1) / m
+        return d
+
+    return dx, lambda g: reduced(g)[1], lambda g: reduced(g)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,11 @@ order. Because every closure *adds* into its inputs' gradient slots, a
 value consumed by several later operations accumulates all of its
 gradient contributions before its own producer runs.
 
-An empty gradient slot takes its first contribution as it is, without a
-copy, when that array is writeable and has the tensor's dtype and shape;
-later contributions are added into it in place. An input's slot may so
-hold the output gradient of the op that consumed it, or a view of it:
-that op has run its closure and does not read it again, but the input's
-later contributions overwrite it. So after :func:`backward` only leaves
+An empty gradient slot keeps its first contribution as its own array
+and adds later ones into it in place (:meth:`Tensor.accumulate_grad`);
+:func:`gridseg.ops._result` states which arrays an op may hand over. A
+slot may so hold, and later overwrite, an output gradient that a
+consumer has finished with, so after :func:`backward` only leaves
 (parameters and inputs) promise a meaningful ``grad``.
 """
 

@@ -145,6 +145,50 @@ class TestTrainEvalInfer:
         assert "2 epochs done" in err and "the 1 asked for" in err
         assert ckpt.read_bytes() == before
 
+    def test_resume_with_another_seed_is_usage_error(self, capsys, tmp_path, tiny_config):
+        ckpt = tmp_path / "m.grdn"
+        run(capsys, "train", "--config", tiny_config, "--checkpoint", str(ckpt), "--epochs", "1")
+        before = ckpt.read_bytes()
+        code, out, err = run(capsys, "train", "--config", tiny_config, "--checkpoint",
+                             str(ckpt), "--resume", str(ckpt), "--seed", "99")
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "trained with seed 3" in err and "--seed 99" in err
+        assert ckpt.read_bytes() == before
+        code, out, _ = run(capsys, "train", "--config", tiny_config, "--checkpoint",
+                           str(ckpt), "--resume", str(ckpt), "--seed", "3")
+        assert code == 0 and json.loads(out)["epochs_run"] == 1
+        assert load_checkpoint(str(ckpt))[2] == {"seed": 3, "epochs_done": 2}
+
+    @pytest.mark.parametrize("train, message", [
+        ({"beta1": 0.5, "eps": 0.1}, "beta1 is 0.9, expected 0.5"),
+        ({"beta2": 0.99}, "beta2 is 0.999, expected 0.99"),
+        ({"eps": 0.1}, "eps is 1e-08, expected 0.1"),
+        ({"lr_decay": 0.5}, "lr_decay is 0.0, expected 0.5"),
+        ({"decay_mode": "multiplicative"},
+         "decay_mode is 'inverse_time', expected 'multiplicative'"),
+    ])
+    def test_resume_with_other_adam_settings_is_usage_error(self, capsys, tmp_path,
+                                                            tiny_config, train, message):
+        ckpt = tmp_path / "m.grdn"
+        run(capsys, "train", "--config", tiny_config, "--checkpoint", str(ckpt), "--epochs", "1")
+        before = ckpt.read_bytes()
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps({**TINY, "train": {**TINY["train"], **train}}))
+        code, out, err = run(capsys, "train", "--config", str(path), "--checkpoint",
+                             str(ckpt), "--resume", str(ckpt))
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "optimizer mismatch: " + message in err
+        assert ckpt.read_bytes() == before
+
+    def test_resume_takes_the_configs_lr(self, capsys, tmp_path, tiny_config):
+        ckpt = tmp_path / "m.grdn"
+        run(capsys, "train", "--config", tiny_config, "--checkpoint", str(ckpt), "--epochs", "1")
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps({**TINY, "train": {**TINY["train"], "lr": 0.002}}))
+        code, _, _ = run(capsys, "train", "--config", str(path), "--checkpoint", str(ckpt),
+                         "--resume", str(ckpt))
+        assert code == 0 and load_checkpoint(str(ckpt))[1].lr == 0.002
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys, tiny_config):
@@ -256,6 +300,17 @@ class TestExitCodes:
         argv = ["--checkpoint", str(tmp_path / "m.grdn")] if command == "train" else []
         code, out, err = run(capsys, command, "--config", str(path), *argv)
         assert code == 1 and message in err and err.count("\n") == 1 and out == ""
+        assert not (tmp_path / "m.grdn").exists()
+
+    @pytest.mark.parametrize("command", ["train", "report"])
+    def test_unbuildable_mask_preset_is_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**TINY, "grid": {**TINY["grid"], "n_streams": 1,
+                                                     "mask": "u_net"}}))
+        argv = ["--checkpoint", str(tmp_path / "m.grdn")] if command == "train" else []
+        code, out, err = run(capsys, command, "--config", str(path), *argv)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "section 'grid': mask preset 'u_net' needs at least two streams" in err
         assert not (tmp_path / "m.grdn").exists()
 
     def test_bad_optimizer_setting_is_usage_error(self, capsys, tmp_path):

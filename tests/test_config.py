@@ -123,6 +123,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="section 'augment': " + message):
             RunConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"n_streams": 1, "mask": "u_net"}, "mask preset 'u_net' needs at least two streams"),
+        ({"column_kinds": ["sub", "up", "sub", "up"], "mask": "conv_deconv"},
+         "mask preset 'conv_deconv' requires all sub columns before all up columns"),
+        ({"column_kinds": ["sub", "sub"], "mask": "u_net"},
+         "mask preset 'u_net' needs at least one sub and one up column"),
+    ])
+    def test_unbuildable_mask_presets_rejected(self, grid, message):
+        with pytest.raises(ConfigError, match="section 'grid': " + message):
+            RunConfig.from_dict({"grid": grid})
+
     def test_smallest_trainable_sizes_accepted(self):
         cfg = RunConfig.from_dict({"augment": {"crop_min": 40, "crop_max": 80, "out_size": 16},
                                    "data": {"width": 96, "height": 40}})

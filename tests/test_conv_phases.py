@@ -2,6 +2,7 @@
 transposed convolution and every convolution input gradient."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
@@ -82,3 +83,20 @@ def test_deconv_is_adjoint_of_conv(case):
     lhs = float((au * y).sum())
     rhs = float((u * deconv2d_up(Tensor(y), up, out_hw).data).sum())
     assert abs(lhs - rhs) / max(abs(lhs), 1.0) < 1e-10
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_output_padding_outside_the_stride_is_unreachable(data):
+    """A target whose implied output padding leaves [0, stride) on either
+    axis is one that no conv with this geometry maps back to x's size."""
+    k = data.draw(st.sampled_from([1, 3]))
+    stride = data.draw(st.sampled_from([1, 2]))
+    pad = (data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1)))
+    side = (data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9)))
+    opad = (data.draw(st.integers(-3, stride + 2)), data.draw(st.integers(-3, stride + 2)))
+    assume(not all(0 <= o < stride for o in opad))
+    out_hw = tuple((s - 1) * stride - 2 * p + k + o for s, p, o in zip(side, pad, opad))
+    assume(min(out_hw) >= 1)
+    with pytest.raises(ValueError, match="unreachable"):
+        _adjoint_corr2d(np.zeros((1, 2, *side)), np.zeros((2, 1, k, k)), stride, pad, out_hw)

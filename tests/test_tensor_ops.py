@@ -190,11 +190,15 @@ class TestDeconv2dUp:
         assert deconv2d_up(x, params, (26, 26)).shape[2:] == (26, 26)
 
     def test_unreachable_target_rejected(self):
+        """From 13, the 3x3 up-sampling geometry and the 1x1 stride-2
+        shortcut's both reach 25 and 26 and nothing else."""
         x = Tensor(np.zeros((1, 2, 13, 13)))
-        params = make_conv(np.zeros((2, 1, 3, 3)), np.zeros(1), 2, (1, 1))
-        for bad in [(24, 24), (27, 27), (25, 28)]:
-            with pytest.raises(ValueError, match="unreachable"):
-                deconv2d_up(x, params, bad)
+        for k, pad in [(3, (1, 1)), (1, (0, 0))]:
+            params = make_conv(np.zeros((2, 1, k, k)), np.zeros(1), 2, pad)
+            assert deconv2d_up(x, params, (26, 25)).shape[2:] == (26, 25)
+            for bad in [(24, 24), (27, 27), (25, 28)]:
+                with pytest.raises(ValueError, match="unreachable"):
+                    deconv2d_up(x, params, bad)
 
     def test_adjoint_identity_with_shared_weights(self):
         """<Ax, y> == <x, A^T y> for the strided conv A and its transpose."""
@@ -306,12 +310,15 @@ class TestBatchNorm:
     @given(shape=st.tuples(*[st.integers(1, 4)] * 4), training=st.booleans(),
            dtype=st.sampled_from([np.float32, np.float64]),
            loc=st.floats(-100, 100), scale=st.sampled_from([1e-3, 1.0, 1e3]),
-           seed=st.integers(0, 2**32 - 1))
-    def test_bit_equal_to_mean_var_reference(self, shape, training, dtype, loc, scale, seed):
+           seed=st.integers(0, 2**32 - 1), x_grad=st.booleans())
+    def test_bit_equal_to_mean_var_reference(self, shape, training, dtype, loc, scale, seed,
+                                             x_grad):
+        """Without x_grad this is the stem: the gamma map takes the shared
+        per-channel sums and x gets no gradient."""
         n, c, h, w = shape
         assume(n * h * w >= 2)
         rng = np.random.default_rng(seed)
-        x = Tensor((loc + scale * rng.normal(size=shape)).astype(dtype), requires_grad=True)
+        x = Tensor((loc + scale * rng.normal(size=shape)).astype(dtype), requires_grad=x_grad)
         bn = BatchNorm(c, dtype=dtype)
         bn.gamma.data[:] = rng.normal(size=c)
         bn.beta.data[:] = rng.normal(size=c)
@@ -323,7 +330,11 @@ class TestBatchNorm:
         labels = rng.integers(0, c, (n, h, w))
         backward(tape, softmax_cross_entropy(out, labels, tape=tape))
         got = [out.data, bn.running_mean, bn.running_var, x.grad, bn.gamma.grad, bn.beta.grad]
-        for a, b in zip(got, want(out.grad), strict=True):
+        want = want(out.grad)
+        if not x_grad:
+            assert x.grad is None
+            del got[3], want[3]
+        for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
