@@ -101,6 +101,15 @@ def _load_run_config(args) -> RunConfig:
     return cfg
 
 
+def _check_spec(path: str, spec: GridSpec, want: GridSpec) -> None:
+    """Name the first grid field where a checkpoint's spec differs from the config's."""
+    for f in dataclasses.fields(GridSpec):
+        have, expected = getattr(spec, f.name), getattr(want, f.name)
+        if have != expected:
+            raise UsageError(f"{path}: checkpoint spec mismatch: {f.name} is {have!r}, "
+                             f"expected {expected!r}")
+
+
 def _print(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False))
 
@@ -124,7 +133,8 @@ def _cmd_train(args) -> int:
     if args.epochs is not None:
         cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, epochs=args.epochs))
     if args.resume:
-        model, optim, info = load_checkpoint(args.resume, expect_spec=cfg.grid)
+        model, optim, info = load_checkpoint(args.resume)
+        _check_spec(args.resume, model.spec, cfg.grid)
         seed, epochs_done = info["seed"], info["epochs_done"]
         if args.seed is not None and args.seed != seed:
             raise UsageError(f"{args.resume} was trained with seed {seed}, not the "
@@ -159,8 +169,9 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_run_config(args)
-    expect = cfg.grid if args.config else None
-    model, _, info = load_checkpoint(args.checkpoint, expect_spec=expect)
+    model, _, info = load_checkpoint(args.checkpoint)
+    if args.config:  # without one, the checkpoint's own grid stands
+        _check_spec(args.checkpoint, model.spec, cfg.grid)
     scenes = _scenes(cfg, cfg.data.n_eval, info["seed"] + cfg.data.n_train)
     report = evaluate_scenes(model, scenes, scales=cfg.eval.scales,
                              categories=cfg.eval.categories,
@@ -172,8 +183,9 @@ def _cmd_eval(args) -> int:
 
 def _cmd_infer(args) -> int:
     cfg = _load_run_config(args)
-    expect = cfg.grid if args.config else None
-    model, _, _ = load_checkpoint(args.checkpoint, expect_spec=expect)
+    model, _, _ = load_checkpoint(args.checkpoint)
+    if args.config:
+        _check_spec(args.checkpoint, model.spec, cfg.grid)
     image = load_image(args.image)
     pred = multiscale_predict(model, image, scales=cfg.eval.scales)
     write_pgm(args.out, pred)

@@ -4,7 +4,8 @@ Parsing is strict: any key that does not correspond to a dataclass field
 is rejected with the section it appeared in, so typos fail fast instead
 of silently falling back to defaults, and every value must fit its
 field's annotation (an int field takes no float or bool, a float field
-takes ints but no infinity or NaN). ``eval.categories`` must put each of
+takes ints but no infinity or NaN). ``grid.image_channels`` must be 3,
+since scenes and images are RGB; ``eval.categories`` must put each of
 the grid's classes in exactly one category, ``augment.out_size`` must
 reach the grid's minimum input side, ``augment.crop_min`` must fit
 inside the generated scenes, and ``grid.mask`` must name a preset that
@@ -101,6 +102,9 @@ class RunConfig:
             raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         out["seed"] = seed
         aug, grid, data = out["augment"], out["grid"], out["data"]
+        if grid.image_channels != 3:
+            raise ConfigError(f"section 'grid': image_channels must be 3 for the RGB "
+                              f"scenes and images, got {grid.image_channels}")
         if aug.out_size < grid.min_side:
             raise ConfigError(f"section 'augment': out_size {aug.out_size} is below the "
                               f"grid's minimum input side {grid.min_side}")

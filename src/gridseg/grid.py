@@ -11,11 +11,13 @@ Column update, with X[i][j] the output of the block at stream i, column j:
   subsampling column:  X[i][j] = X[i][j-1] + R(X[i][j-1]) + D(X[i-1][j])
   upsampling column:   X[i][j] = X[i][j-1] + R(X[i][j-1]) + U(X[i+1][j])
 
-R is a preactivation residual unit, D/U are the resampling units; missing
-neighbors at the grid border simply drop their term. Subsampling columns
-evaluate top-to-bottom so D consumes the same column; upsampling columns
-evaluate bottom-to-top. Information enters through a stem on stream 0 and
-leaves through a 1x1 head on stream 0 after the last column.
+R is a preactivation residual unit; D and U are one resampling unit, a
+stride-2 convolution going down and its transposed convolution, the exact
+adjoint, going up. Missing neighbors at the grid border simply drop their
+term. Subsampling columns evaluate top-to-bottom so D consumes the same
+column; upsampling columns evaluate bottom-to-top. Information enters
+through a stem on stream 0 and leaves through a 1x1 head on stream 0
+after the last column.
 
 Connections can be switched off per block via a :class:`ConnectionMask`;
 presets reproduce classic topologies (single encoder-decoder path, the
@@ -262,20 +264,7 @@ def named_leaves(obj, prefix: str, kind) -> list:
     return sorted(out, key=lambda kv: kv[0])
 
 
-class _Unit:
-    """Parameters are the Tensor leaves under a unit, buffers the ndarray leaves.
-
-    ``prefix`` defaults to the unit's ``name``, which only blocks have.
-    """
-
-    def named_parameters(self, prefix: str | None = None) -> list[tuple[str, Tensor]]:
-        return named_leaves(self, prefix or self.name, Tensor)
-
-    def named_buffers(self, prefix: str | None = None) -> list[tuple[str, np.ndarray]]:
-        return named_leaves(self, prefix or self.name, np.ndarray)
-
-
-class ResidualUnit(_Unit):
+class ResidualUnit:
     """Preactivation residual mapping: BN-relu-conv3x3-BN-relu-conv3x3."""
 
     def __init__(self, channels: int, rng, dtype):
@@ -291,49 +280,41 @@ class ResidualUnit(_Unit):
         return ops.conv2d(t, self.conv2, tape)
 
 
-class DownUnit(_Unit):
-    """BN-relu-conv3x3 stride 2, doubling channels; optional 1x1 shortcut."""
+class ResampleUnit:
+    """BN-relu-conv3x3 at stride 2 from one stream to its neighbour; optional 1x1 shortcut.
 
-    def __init__(self, in_channels: int, rng, dtype, shortcut: bool):
-        self.bn = ops.BatchNorm(in_channels, dtype=dtype)
-        self.conv = ops.conv_params(rng, 2 * in_channels, in_channels, 3, 3, 2, (1, 1), dtype)
+    Going down it is a strided convolution that doubles channels; going up
+    (``out_c < in_c``) it is the transposed convolution, the exact adjoint
+    of the down unit, that halves them. The weights keep the down conv's
+    layout (wider, narrower, kh, kw) either way; the bias has ``out_c``
+    entries and batch norm covers ``in_c``.
+    """
+
+    def __init__(self, in_c: int, out_c: int, rng, dtype, shortcut: bool):
+        self.up = out_c < in_c
+        wide, narrow = max(in_c, out_c), min(in_c, out_c)
+        self.bn = ops.BatchNorm(in_c, dtype=dtype)
+        self.conv = ops.conv_params(rng, wide, narrow, 3, 3, 2, (1, 1), dtype, bias_len=out_c)
         self.shortcut = None
         if shortcut:
-            self.shortcut = ops.conv_params(rng, 2 * in_channels, in_channels, 1, 1, 2, (0, 0), dtype)
+            self.shortcut = ops.conv_params(rng, wide, narrow, 1, 1, 2, (0, 0), dtype,
+                                            bias_len=out_c)
 
-    def forward(self, x: Tensor, training: bool, tape: Tape | None) -> Tensor:
-        y = ops.conv2d(ops.relu(ops.batch_norm(x, self.bn, training, tape), tape),
-                       self.conv, tape)
-        if self.shortcut is not None:
-            y = ops.add(y, ops.conv2d(x, self.shortcut, tape), tape)
-        return y
-
-
-class UpUnit(_Unit):
-    """BN-relu-transposed-conv3x3 stride 2, halving channels; optional shortcut."""
-
-    def __init__(self, in_channels: int, rng, dtype, shortcut: bool):
-        if in_channels % 2:
-            raise ValueError(f"UpUnit input channels must be even, got {in_channels}")
-        out_channels = in_channels // 2
-        self.bn = ops.BatchNorm(in_channels, dtype=dtype)
-        self.conv = ops.conv_params(rng, in_channels, out_channels, 3, 3, 2, (1, 1), dtype,
-                                    bias_len=out_channels)
-        self.shortcut = None
-        if shortcut:
-            self.shortcut = ops.conv_params(rng, in_channels, out_channels, 1, 1, 2, (0, 0),
-                                            dtype, bias_len=out_channels)
+    def _resample(self, x: Tensor, params: ops.ConvParams, target_hw, tape) -> Tensor:
+        if self.up:
+            return ops.deconv2d_up(x, params, target_hw, tape)
+        return ops.conv2d(x, params, tape)
 
     def forward(self, x: Tensor, target_hw, training: bool, tape: Tape | None) -> Tensor:
-        y = ops.deconv2d_up(ops.relu(ops.batch_norm(x, self.bn, training, tape), tape),
-                            self.conv, target_hw, tape)
+        y = self._resample(ops.relu(ops.batch_norm(x, self.bn, training, tape), tape),
+                           self.conv, target_hw, tape)
         if self.shortcut is not None:
-            y = ops.add(y, ops.deconv2d_up(x, self.shortcut, target_hw, tape), tape)
+            y = ops.add(y, self._resample(x, self.shortcut, target_hw, tape), tape)
         return y
 
 
 @dataclass
-class GridBlock(_Unit):
+class GridBlock:
     """Units of one grid position, plus what the forward pass runs there.
 
     ``identity``, ``residual`` and ``src`` are the block rule's flags
@@ -343,9 +324,8 @@ class GridBlock(_Unit):
 
     row: int
     col: int  # grid column, 0-based
-    kind: str
     res: ResidualUnit | None = None
-    vert: DownUnit | UpUnit | None = None
+    vert: ResampleUnit | None = None
     proj: ops.ConvParams | None = None  # concat-fusion projection
     proj_slots: tuple[bool, bool] = (False, False)  # (horizontal, vertical) slots
     identity: bool = False
@@ -420,13 +400,13 @@ class GridModel:
                                          3, 3, 1, (1, 1), dtype)
         self.blocks: dict[tuple[int, int], GridBlock] = {}
         for i, t, identity, residual, src in _blocks(spec, ConnectionMask.all_on(spec)):
-            block = self.blocks[(i, t)] = GridBlock(i, t, spec.column_kinds[t])
+            block = self.blocks[(i, t)] = GridBlock(i, t)
             f_i = spec.stream_channels(i)
             if residual:
                 block.res = ResidualUnit(f_i, rng, dtype)
             if src is not None:
-                unit = DownUnit if block.kind == SUB else UpUnit
-                block.vert = unit(spec.stream_channels(src), rng, dtype, spec.vertical_residual)
+                block.vert = ResampleUnit(spec.stream_channels(src), f_i, rng, dtype,
+                                          spec.vertical_residual)
             if spec.fusion == "concat":
                 block.proj_slots = (identity, src is not None)
                 block.proj = ops.conv_params(rng, f_i, sum(block.proj_slots) * f_i, 1, 1, 1,
@@ -459,9 +439,6 @@ class GridModel:
         """Blocks whose residual unit actually runs, in evaluation order."""
         return [(b.row, b.col) for b in self.plan if b.residual]
 
-    def stream_hw(self, i: int, input_hw) -> tuple[int, int]:
-        return stream_dims(self.spec, i, input_hw)[1:]
-
     # -- forward -------------------------------------------------------
 
     def forward(self, x, training: bool = False, drop_mask=None, tape: Tape | None = None,
@@ -482,7 +459,7 @@ class GridModel:
         in_hw = x.shape[2:]
         if min(in_hw) < self.spec.min_side:
             raise ValueError(f"input {in_hw} smaller than minimum side {self.spec.min_side}")
-        hw = [self.stream_hw(i, in_hw) for i in range(self.spec.n_streams)]
+        hw = [stream_dims(self.spec, i, in_hw)[1:] for i in range(self.spec.n_streams)]
 
         stem = ops.conv2d(ops.batch_norm(x, self.stem_bn, training, tape), self.stem_conv, tape)
         if trace is not None:
@@ -498,10 +475,7 @@ class GridModel:
                 residual = block.res.forward(identity, training, tape)
             vertical = None
             if block.src is not None:
-                if block.kind == SUB:
-                    vertical = block.vert.forward(value[block.src], training, tape)
-                else:
-                    vertical = block.vert.forward(value[block.src], hw[i], training, tape)
+                vertical = block.vert.forward(value[block.src], hw[i], training, tape)
             want = (x.shape[0], self.spec.stream_channels(i), *hw[i])
             if block.proj is not None:
                 # keep the projection's channel layout static: slots whose

@@ -221,7 +221,7 @@ def save_checkpoint(path: str, model: GridModel, optim: Adam, train_seed: int,
         raise
 
 
-def load_checkpoint(path: str, expect_spec: GridSpec | None = None):
+def load_checkpoint(path: str):
     """Rebuild (model, optimizer, train_state) from a checkpoint file."""
     with open(path, "rb") as f:
         raw = f.read()
@@ -265,13 +265,6 @@ def load_checkpoint(path: str, expect_spec: GridSpec | None = None):
         optim = Adam(params, **{k: v for k, v in header["optim"].items() if k != "t"})
     except TypeError as e:
         raise ValueError(f"{path}: malformed checkpoint header ({e})") from None
-    if expect_spec is not None and spec != expect_spec:
-        for name in (f.name for f in fields(GridSpec)):
-            a, b = getattr(spec, name), getattr(expect_spec, name)
-            if a != b:
-                raise ValueError(
-                    f"checkpoint spec mismatch: {name} is {a!r}, expected {b!r}"
-                )
     optim.t = header["optim"]["t"]
     if [[n, list(p.shape)] for n, p in params] != header["params"]:
         raise ValueError("checkpoint parameter table does not match the rebuilt model")

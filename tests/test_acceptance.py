@@ -24,10 +24,12 @@ from gridseg import (
     ops,
     sample_drop_mask,
     softmax_cross_entropy,
+    stream_dims,
     symmetric_columns,
 )
 from gridseg.config import RunConfig
 from gridseg.data import Scene, generate_dataset
+from gridseg.grid import named_leaves
 from gridseg.metrics import ConfusionMatrix, InstanceScore, evaluate_scenes, \
     instance_average_sizes
 from gridseg.optim import Adam
@@ -104,7 +106,7 @@ def test_criterion_03_single_path_mask_equals_sequential_chain():
     # composed chain of the same units: max abs gap < 1e-6 on 10 inputs
     spec = GridSpec(3, symmetric_columns(2, 2), 4, 3, mask="conv_deconv")
     model = build_grid(spec, (16, 16), seed=11)
-    hw = [model.stream_hw(i, (16, 16)) for i in range(3)]
+    hw = [stream_dims(model.spec, i, (16, 16))[1:] for i in range(3)]
     b = model.blocks
     rng = np.random.default_rng(6)
     worst = 0.0
@@ -114,9 +116,9 @@ def test_criterion_03_single_path_mask_equals_sequential_chain():
         v = ops.conv2d(ops.batch_norm(Tensor(x), model.stem_bn, False),
                        model.stem_conv)
         v = ops.add(v, b[(0, 0)].res.forward(v, False, None))
-        v = b[(1, 0)].vert.forward(v, False, None)
+        v = b[(1, 0)].vert.forward(v, hw[1], False, None)
         v = ops.add(v, b[(1, 1)].res.forward(v, False, None))
-        v = b[(2, 1)].vert.forward(v, False, None)
+        v = b[(2, 1)].vert.forward(v, hw[2], False, None)
         v = ops.add(v, b[(2, 2)].res.forward(v, False, None))
         v = b[(1, 2)].vert.forward(v, hw[1], False, None)
         v = ops.add(v, b[(1, 3)].res.forward(v, False, None))
@@ -166,7 +168,7 @@ def test_criterion_05_zeroed_units_leave_identity_path():
         for unit in (block.res, block.vert):
             if unit is None:
                 continue
-            for _, p in unit.named_parameters("u"):
+            for _, p in named_leaves(unit, "u", Tensor):
                 p.data[...] = 0.0
     x = np.random.default_rng(4).normal(size=(2, 3, 16, 16)).astype(np.float32)
     trace = {}

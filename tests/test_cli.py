@@ -1,6 +1,7 @@
 """End-to-end command line tests, run in process via cli.main."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,7 +62,7 @@ class TestTrainEvalInfer:
         assert code == 0
         summary = json.loads(out)
         assert summary["epochs_run"] == 2 and summary["final_loss"] is not None
-        lines = [json.loads(l) for l in open(log)]
+        lines = [json.loads(l) for l in Path(log).read_text().splitlines()]
         assert [l["epoch"] for l in lines] == [0, 1]
 
         code, out, _ = run(capsys, "eval", "--config", tiny_config,
@@ -96,7 +97,7 @@ class TestTrainEvalInfer:
                              "--checkpoint", ckpt, "--image", img_path,
                              "--out", out_path)
             assert code == 0
-            outs.append(open(out_path, "rb").read())
+            outs.append(Path(out_path).read_bytes())
         assert outs[0] == outs[1]
 
     def test_epochs_zero_writes_initial_checkpoint(self, capsys, tmp_path, tiny_config):
@@ -212,7 +213,7 @@ class TestExitCodes:
                            "--checkpoint", "/nonexistent/m.grdn")
         assert code == 2 and "nonexistent" in err
 
-    def test_spec_mismatch_is_runtime_error(self, capsys, tmp_path, tiny_config):
+    def test_spec_mismatch_is_usage_error(self, capsys, tmp_path, tiny_config):
         ckpt = str(tmp_path / "m.grdn")
         run(capsys, "train", "--config", tiny_config, "--checkpoint", ckpt,
             "--epochs", "0")
@@ -222,7 +223,28 @@ class TestExitCodes:
         other_path.write_text(json.dumps(other))
         code, _, err = run(capsys, "eval", "--config", str(other_path),
                            "--checkpoint", ckpt)
-        assert code == 2 and "base_channels" in err
+        assert code == 1 and "base_channels" in err
+
+    def test_spec_mismatch_names_field(self, capsys, tmp_path, tiny_config):
+        # train --resume, eval and infer each compare the configured grid with
+        # the checkpoint's, and pass when they are equal
+        ckpt = str(tmp_path / "m.grdn")
+        run(capsys, "train", "--config", tiny_config, "--checkpoint", ckpt, "--epochs", "1")
+        img = str(tmp_path / "in.ppm")
+        write_ppm(img, generate_scene(99, width=24, height=24).image)
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps({**TINY, "grid": {**TINY["grid"], "fusion": "concat"}}))
+        argvs = {
+            "train": ["--checkpoint", str(tmp_path / "out.grdn"), "--resume", ckpt],
+            "eval": ["--checkpoint", ckpt],
+            "infer": ["--checkpoint", ckpt, "--image", img, "--out", str(tmp_path / "p.pgm")],
+        }
+        for command, argv in argvs.items():
+            code, out, err = run(capsys, command, "--config", str(other), *argv)
+            assert code == 1 and out == "", command
+            assert err == (f"gridseg: {ckpt}: checkpoint spec mismatch: fusion is 'sum', "
+                           f"expected 'concat'\n")
+            assert run(capsys, command, "--config", tiny_config, *argv)[0] == 0, command
 
     def test_truncated_checkpoint_is_runtime_error(self, capsys, tmp_path, tiny_config):
         ckpt = tmp_path / "m.grdn"

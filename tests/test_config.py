@@ -134,6 +134,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="section 'grid': " + message):
             RunConfig.from_dict({"grid": grid})
 
+    @pytest.mark.parametrize("channels", [1, 4])
+    def test_non_rgb_image_channels_rejected(self, channels):
+        # scenes and PPM images are RGB; any other width fails at the first forward
+        with pytest.raises(ConfigError, match=f"section 'grid': image_channels must be 3 "
+                                              f"for the RGB scenes and images, got {channels}"):
+            RunConfig.from_dict({"grid": {"image_channels": channels}})
+
     def test_smallest_trainable_sizes_accepted(self):
         cfg = RunConfig.from_dict({"augment": {"crop_min": 40, "crop_max": 80, "out_size": 16},
                                    "data": {"width": 96, "height": 40}})

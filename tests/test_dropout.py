@@ -5,6 +5,8 @@ import pytest
 
 from gridseg import ConnectionMask, GridSpec, build_grid, sample_drop_mask, symmetric_columns
 from gridseg.dropout import DropMask
+from gridseg.grid import named_leaves
+from gridseg.tensor import Tensor
 
 
 def small_model(seed=0, mask=None):
@@ -107,7 +109,7 @@ class TestForwardEquivalence:
         logits = model.forward(x, training=True, drop_mask=mask, tape=tape)
         loss = softmax_cross_entropy(logits, labels, tape=tape)
         backward(tape, loss)
-        gated = dict(model.blocks[(0, 0)].named_parameters())
+        gated = dict(named_leaves(model.blocks[(0, 0)], "b", Tensor))
         for name, p in gated.items():
             if ".res." in name:
                 assert p.grad is None, name

@@ -5,6 +5,7 @@ the sequential-composition test rebuilds the single-path topology from
 the model's own units, outside the grid evaluation loop.
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -32,6 +33,8 @@ from gridseg import (
     stream_dims,
     symmetric_columns,
 )
+from gridseg.config import RunConfig
+from gridseg.grid import named_leaves
 
 
 def spec_2s(**kw):
@@ -171,7 +174,7 @@ class TestZeroUnits:
             for unit in (block.res, block.vert):
                 if unit is None:
                     continue
-                for name, p in unit.named_parameters("u"):
+                for name, p in named_leaves(unit, "u", Tensor):
                     if "conv" in name or "shortcut" in name:
                         p.data[...] = 0.0
         x = np.random.default_rng(4).normal(size=(2, 3, 16, 16)).astype(np.float32)
@@ -213,7 +216,7 @@ class TestPresets:
     def test_conv_deconv_matches_sequential_composition(self):
         model = build_grid(spec_3s(mask="conv_deconv"), (16, 16), seed=11)
         rng = np.random.default_rng(6)
-        hw = [model.stream_hw(i, (16, 16)) for i in range(3)]
+        hw = [stream_dims(model.spec, i, (16, 16))[1:] for i in range(3)]
         for _ in range(3):
             x = rng.normal(size=(2, 3, 16, 16)).astype(np.float32)
             got = model.forward(x).data
@@ -222,9 +225,9 @@ class TestPresets:
             v = ops.conv2d(ops.batch_norm(Tensor(x), model.stem_bn, False),
                            model.stem_conv)
             v = ops.add(v, b[(0, 0)].res.forward(v, False, None))
-            v = b[(1, 0)].vert.forward(v, False, None)
+            v = b[(1, 0)].vert.forward(v, hw[1], False, None)
             v = ops.add(v, b[(1, 1)].res.forward(v, False, None))
-            v = b[(2, 1)].vert.forward(v, False, None)
+            v = b[(2, 1)].vert.forward(v, hw[2], False, None)
             v = ops.add(v, b[(2, 2)].res.forward(v, False, None))
             v = b[(1, 2)].vert.forward(v, hw[1], False, None)
             v = ops.add(v, b[(1, 3)].res.forward(v, False, None))
@@ -455,9 +458,9 @@ class TestGradientFlow:
                                      labels, tape=tape)
         backward(tape, loss)
         # block (0,1) is off the single path entirely
-        off_path = dict(model.blocks[(0, 1)].named_parameters())
+        off_path = dict(named_leaves(model.blocks[(0, 1)], "b", Tensor))
         assert all(p.grad is None for p in off_path.values())
-        on_path = dict(model.blocks[(0, 0)].named_parameters())
+        on_path = dict(named_leaves(model.blocks[(0, 0)], "b", Tensor))
         assert all(p.grad is not None for p in on_path.values())
 
 
@@ -512,6 +515,20 @@ _BLOCK_RULE_DIGESTS = {
         "f391d63ea56e52120823f888947bf5a1d7316bca4e197a4a64363d66b9142841",
 }
 
+_DESK = RunConfig().grid
+# sha256 over (name, bytes) of every parameter at seed 0; initialization draws
+# only from numpy's Generator, so the digests hold on any machine
+_INIT_DIGESTS = {
+    "desk": (_DESK, "a9767ab6f501a946a02ece8e53072fa46720208501c1d10e624112ce4a20249b"),
+    "wide": (dataclasses.replace(_DESK, n_streams=3, column_kinds=symmetric_columns(1, 1),
+                                 base_channels=16, fusion="concat", vertical_residual=True),
+             "edbebc254d07a4f7c30c21e79a3ef237bf37b24734e204bfa967455cbc59a241"),
+    "frrn_interleaved": (dataclasses.replace(_DESK, n_streams=3,
+                                             column_kinds=("sub", "up", "sub", "up"),
+                                             mask="frrn", vertical_residual=True),
+                         "a40f2964b5b9792fab5224fcfc15ac5cd64e208da80467ea4971730e13ee7c45"),
+}
+
 
 class TestPlan:
     @pytest.mark.parametrize("spec", _tally_cases())
@@ -558,6 +575,15 @@ class TestPlan:
                 for b in model.plan]]
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == \
             _BLOCK_RULE_DIGESTS[(preset, fusion)]
+
+    @pytest.mark.parametrize("name", list(_INIT_DIGESTS))
+    def test_initial_parameters_pinned(self, name):
+        spec, digest = _INIT_DIGESTS[name]
+        h = hashlib.sha256()
+        for n, p in build_grid(spec, (64, 64), seed=0).named_parameters():
+            h.update(n.encode())
+            h.update(p.data.tobytes())
+        assert h.hexdigest() == digest
 
     def test_v1_name_tables_pinned(self):
         # 3 streams, 6 sub + 5 up columns, concat fusion with 1x1 vertical
