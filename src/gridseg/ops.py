@@ -12,8 +12,15 @@ congruent to (rh, rw) modulo the stride receive only the kernel taps
 the undilated input with that flipped, channel-swapped sub-kernel (the
 sub-pixel form of a transposed convolution, Shi et al., arXiv
 1609.07009). No multiply-add touches an inserted zero. The same
-primitive serves both the upsampling forward pass and the
-input-gradient of every convolution; stride 1 is its one-phase case.
+primitive, `_adjoint_corr2d`, serves the upsampling forward pass and the
+input gradient of every stride-2 convolution; stride 1 is its one-phase
+case.
+
+A stride-1 convolution and a transposed convolution take both of their
+gradients from one patch matrix of the output gradient (`_patch_grads`):
+the input gradient is a kernel times it, and the weight gradient is the
+input times its transpose, so the backward pass pads and unfolds no
+input. That matrix lives only while the op's backward runs.
 
 Every op states one gradient map per input, from the output gradient
 to that input's gradient, and hands them to `_result`, the one place
@@ -114,7 +121,8 @@ def _corr2d(x: np.ndarray, w: np.ndarray, stride: int, padding) -> np.ndarray:
 
 
 def _corr2d_weight_grad(x, g, stride, padding, kh, kw) -> np.ndarray:
-    """Contraction of input x (n,ci,..) with output grad g (n,co,oh,ow)."""
+    """Contraction of input x (n,ci,..) with output grad g (n,co,oh,ow): the
+    weight gradient of a strided `conv2d`, its one user (see `_patch_grads`)."""
     xp = _pad2d(x, padding[0], padding[1])
     cols, oh, ow = _im2col(xp, kh, kw, stride)
     n, co = g.shape[0], g.shape[1]
@@ -151,10 +159,9 @@ def _adjoint_corr2d(x, w, stride, padding, out_hw) -> np.ndarray:
     sub-pixel convolution form of the transposed convolution (arXiv
     1609.07009). The window carries zeros only where it runs past the
     border of x; a phase with no taps (a 1x1 kernel at stride 2) stays
-    zero. At stride 1 the one phase is the whole output and is returned
-    as it comes from `_corr2d`. out_hw must be a size that `_corr2d` maps
-    back to x's: the implied output padding lies in [0, stride) per axis,
-    and the padding is below the kernel size.
+    zero. out_hw must be a size that `_corr2d` maps back to x's: the
+    implied output padding lies in [0, stride) per axis, and the padding
+    is below the kernel size.
     """
     n, co, h, w_in = x.shape
     _, ci, kh, kw = w.shape
@@ -165,18 +172,45 @@ def _adjoint_corr2d(x, w, stride, padding, out_hw) -> np.ndarray:
         raise ValueError(f"target {tuple(out_hw)} unreachable from input {(h, w_in)} with "
                          f"kernel {(kh, kw)}, stride {stride}, padding {tuple(padding)}: "
                          f"implied output padding {opad}")
-    if stride == 1:  # phase (0, 0) of `_phases`: o0 = 0, q0 = padding
-        ph, pw = padding
-        return _corr2d(_window(x, ph - kh + 1, ph + oh, pw - kw + 1, pw + ow),
-                       w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), 1, (0, 0))
     y = np.zeros((n, ci, oh, ow), dtype=np.result_type(x.dtype, w.dtype))
     for rh, o0h, h0, h1 in _phases(oh, kh, stride, padding[0]):
         for rw, o0w, w0, w1 in _phases(ow, kw, stride, padding[1]):
-            sub = w[:, :, rh::stride, rw::stride][:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
             y[:, :, o0h::stride, o0w::stride] = _corr2d(
-                _window(x, h0, h1, w0, w1), sub, 1, (0, 0)
+                _window(x, h0, h1, w0, w1), _swap(w[:, :, rh::stride, rw::stride]), 1, (0, 0)
             )
     return y
+
+
+def _swap(k: np.ndarray) -> np.ndarray:
+    """Kernel k (a,b,kh,kw) flipped in both spatial axes and channel-swapped
+    to (b,a,kh,kw), as a view; applied twice it gives k back."""
+    return k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+
+
+def _bias_grad(g: np.ndarray) -> np.ndarray:
+    return g.sum(axis=(0, 2, 3))
+
+
+def _patch_grads(w: Tensor, patches, dx, dw):
+    """Maps for x, w and b whose x and w gradients are ``dx(G)`` and
+    ``dw(G)`` of one patch matrix ``G = patches(g)`` of the output gradient.
+
+    The x map runs first (`_result` runs maps in input order) and keeps G
+    only when the w map will run, which takes it or else builds it: G is
+    built once and gone when the op's backward returns.
+    """
+    held = []
+
+    def x_map(g):
+        cols = patches(g)
+        if w.requires_grad:
+            held.append(cols)
+        return dx(cols)
+
+    def w_map(g):
+        return dw(held.pop() if held else patches(g))
+
+    return x_map, w_map, _bias_grad
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +247,7 @@ def conv_params(rng, out_c, in_c, kh, kw, stride=1, padding=(0, 0),
 def conv2d(x: Tensor, params: ConvParams, tape: Tape | None = None) -> Tensor:
     """Strided 2-D convolution (cross-correlation) with bias."""
     w, b = params.weight, params.bias
-    co, ci, kh, kw = w.shape
+    ci = w.shape[1]
     if x.data.ndim != 4:
         raise ValueError(f"conv2d expects a 4-D input, got shape {x.shape}")
     if x.shape[1] != ci:
@@ -225,11 +259,35 @@ def conv2d(x: Tensor, params: ConvParams, tape: Tape | None = None) -> Tensor:
     if y.shape[2] < 1 or y.shape[3] < 1:
         raise ValueError(f"conv2d output collapsed to {y.shape} from input {x.shape}")
     y += b.data.reshape(1, -1, 1, 1)
-    return _result(y, (x, w, b), tape, tape and (
-        lambda g: _adjoint_corr2d(g, w.data, stride, pad, x.shape[2:]),
-        lambda g: _corr2d_weight_grad(x.data, g, stride, pad, kh, kw),
-        lambda g: g.sum(axis=(0, 2, 3)),
-    ))
+    return _result(y, (x, w, b), tape, tape and _conv_grads(x, w, stride, pad))
+
+
+def _conv_grads(x: Tensor, w: Tensor, stride: int, pad):
+    """`conv2d`'s gradient maps for x, w and b.
+
+    At stride 1, G's row (co, a, b) and column (i, j) hold g[co, i + a +
+    ph - kh + 1, j + b + pw - kw + 1], zero off g: dx is the flipped,
+    channel-swapped kernel times G, and dw[co, ci, dy, dx] = sum over n of
+    (x_n @ G_n^T)[ci, (co, kh-1-dy, kw-1-dx)], with no patch matrix of x.
+    """
+    n, ci, h, wd = x.shape
+    co, _, kh, kw = w.shape
+    if stride != 1:
+        return (lambda g: _adjoint_corr2d(g, w.data, stride, pad, x.shape[2:]),
+                lambda g: _corr2d_weight_grad(x.data, g, stride, pad, kh, kw),
+                _bias_grad)
+    ph, pw = pad
+
+    def patches(g):
+        return _im2col(_window(g, ph - kh + 1, ph + h, pw - kw + 1, pw + wd), kh, kw, 1)[0]
+
+    def dw(cols):
+        d = np.matmul(x.data.reshape(n, ci, h * wd), cols.transpose(0, 2, 1)).sum(axis=0)
+        return np.ascontiguousarray(_swap(d.reshape(ci, co, kh, kw)))
+
+    return _patch_grads(
+        w, patches,
+        lambda cols: np.matmul(_swap(w.data).reshape(ci, -1), cols).reshape(x.shape), dw)
 
 
 def deconv2d_up(x: Tensor, params: ConvParams, target_hw, tape: Tape | None = None) -> Tensor:
@@ -250,11 +308,13 @@ def deconv2d_up(x: Tensor, params: ConvParams, target_hw, tape: Tape | None = No
     th, tw = int(target_hw[0]), int(target_hw[1])
     y = _adjoint_corr2d(x.data, w.data, stride, pad, (th, tw))
     y += b.data.reshape(1, -1, 1, 1)
-    return _result(y, (x, w, b), tape, tape and (
-        lambda g: _corr2d(g, w.data, stride, pad),
-        lambda g: _corr2d_weight_grad(g, x.data, stride, pad, kh, kw),
-        lambda g: g.sum(axis=(0, 2, 3)),
-    ))
+    # G is g's patch matrix under the matching conv: dx is that conv's
+    # output, and dw its weight gradient with x as the output gradient
+    return _result(y, (x, w, b), tape, tape and _patch_grads(
+        w, lambda g: _im2col(_pad2d(g, *pad), kh, kw, stride)[0],
+        lambda cols: np.matmul(w.data.reshape(co, -1), cols).reshape(x.shape),
+        lambda cols: np.matmul(x.data.reshape(x.shape[0], co, -1),
+                               cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """End-to-end command line tests, run in process via cli.main."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -66,7 +67,7 @@ class TestTrainEvalInfer:
         assert [l["epoch"] for l in lines] == [0, 1]
 
         code, out, _ = run(capsys, "eval", "--config", tiny_config,
-                           "--checkpoint", ckpt, "--threads", "2")
+                           "--checkpoint", ckpt, "--threads", str(min(2, os.cpu_count() or 1)))
         assert code == 0
         report = json.loads(out)
         assert report["n_scenes"] == 3
@@ -376,6 +377,8 @@ class TestExitCodes:
         (["gradcheck", "--tol", "inf"], "--tol: must be finite and above 0"),
         (["gradcheck", "--tol", "0"], "--tol: must be finite and above 0"),
         (["gradcheck", "--tol", "x"], "--tol: invalid float value"),
+        (["eval", "--checkpoint", "m.grdn", "--threads", str((os.cpu_count() or 1) + 1)],
+         f"--threads: must be at most {os.cpu_count() or 1}"),
     ])
     def test_out_of_range_flag_is_usage_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -1,5 +1,8 @@
 """Property tests of the phase-split adjoint correlation behind every
-transposed convolution and every convolution input gradient."""
+transposed convolution and every stride-2 convolution input gradient, and
+of the conv gradients that share one patch matrix of the output gradient."""
+
+import weakref
 
 import numpy as np
 import pytest
@@ -7,8 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from gridseg import ConvParams, Tensor, conv2d, deconv2d_up
-from gridseg.ops import _adjoint_corr2d
+from gridseg import ConvParams, Tape, Tensor, backward, conv2d, deconv2d_up, ops
+from gridseg.ops import _adjoint_corr2d, _result
 
 
 def adjoint_zero_insert(x, w, stride, padding, out_hw):
@@ -100,3 +103,109 @@ def test_output_padding_outside_the_stride_is_unreachable(data):
     assume(min(out_hw) >= 1)
     with pytest.raises(ValueError, match="unreachable"):
         _adjoint_corr2d(np.zeros((1, 2, *side)), np.zeros((2, 1, k, k)), stride, pad, out_hw)
+
+
+# ---------------------------------------------------------------------------
+# gradients over one patch matrix of the output gradient
+# ---------------------------------------------------------------------------
+
+
+def patch_matrix(a, kh, kw, stride, padding):
+    """Reference im2col: (n, c*kh*kw, oh*ow) patches of zero-padded a."""
+    ph, pw = padding
+    ap = np.pad(a, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
+    v = sliding_window_view(ap, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    n, c, oh, ow = v.shape[:4]
+    return v.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
+
+
+def two_matrix_conv_grads(u, w, g, stride, pad):
+    """conv2d's (du, dw, db) at input u for output gradient g, the input
+    gradient from the zero-inserted g and dw from a patch matrix of u."""
+    n, co = g.shape[:2]
+    k = w.shape[2:]
+    du = adjoint_zero_insert(g, w, stride, pad, u.shape[2:])
+    cols = patch_matrix(u, *k, stride, pad)
+    dw = np.matmul(g.reshape(n, co, -1), cols.transpose(0, 2, 1)).sum(axis=0)
+    return du, dw.reshape(w.shape), g.sum(axis=(0, 2, 3))
+
+
+def two_matrix_deconv_grads(x, w, g, pad):
+    """deconv2d_up's (dx, dw, db) at input x for output gradient g, each of
+    dx and dw building its own patch matrix of g."""
+    n, co = x.shape[:2]
+    k = w.shape[2:]
+    dx = np.matmul(w.reshape(co, -1), patch_matrix(g, *k, 2, pad)).reshape(x.shape)
+    dw = np.matmul(x.reshape(n, co, -1), patch_matrix(g, *k, 2, pad).transpose(0, 2, 1))
+    return dx, dw.sum(axis=0).reshape(w.shape), g.sum(axis=(0, 2, 3))
+
+
+def pull_back(tape, y, g):
+    """Run backward from the loss <y, g>, whose gradient at y is g."""
+    loss = _result(np.asarray(float((y.data * g).sum()), y.dtype), (y,), tape,
+                   (lambda _: g.copy(),))
+    backward(tape, loss)
+
+
+def op_grads(op, x, w, g, stride, pad):
+    """(dx, dw, db) of ``op(x, params, tape)`` for output gradient g."""
+    params = ConvParams(Tensor(w, requires_grad=True),
+                        Tensor(np.zeros(g.shape[1], w.dtype), requires_grad=True),
+                        stride=stride, padding=pad)
+    x = Tensor(x, requires_grad=True)
+    tape = Tape()
+    y = op(x, params, tape)
+    assert y.shape == g.shape
+    pull_back(tape, y, g)
+    return x.grad, params.weight.grad, params.bias.grad
+
+
+@settings(max_examples=300, deadline=None)
+@given(adjoint_cases())
+def test_conv_grads_match_two_patch_matrices(case):
+    """A case's deconv input is the conv's output gradient."""
+    g, w, stride, pad, out_hw = case
+    u = np.random.default_rng(g.size).normal(size=(g.shape[0], w.shape[1], *out_hw))
+    got = op_grads(conv2d, u, w, g, stride, pad)
+    for a, b in zip(got, two_matrix_conv_grads(u, w, g, stride, pad)):
+        assert a.shape == b.shape
+        assert np.max(np.abs(a - b), initial=0.0) < 1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(adjoint_cases().filter(lambda case: case[2] == 2), st.sampled_from([np.float64, np.float32]))
+def test_deconv_grads_bitwise_equal_two_patch_matrices(case, dtype):
+    x, w, stride, pad, out_hw = case
+    x, w = x.astype(dtype), w.astype(dtype)
+    g = np.random.default_rng(x.size).normal(size=(x.shape[0], w.shape[1], *out_hw)).astype(dtype)
+    got = op_grads(lambda x, p, tape: deconv2d_up(x, p, out_hw, tape), x, w, g, 2, pad)
+    for a, b in zip(got, two_matrix_deconv_grads(x, w, g, pad)):
+        assert a.dtype == dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("up", [False, True])
+@pytest.mark.parametrize("x_grad,w_grad", [(True, True), (True, False), (False, True)])
+def test_backward_builds_one_patch_matrix_of_g_and_keeps_none(monkeypatch, up, x_grad, w_grad):
+    """One backward unfolds g once, not x, and the matrix is freed before
+    backward returns although the tape that recorded the op lives on."""
+    rng = np.random.default_rng(7)
+    w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=w_grad)
+    b = Tensor(np.zeros(3 - up), requires_grad=True)
+    params = ConvParams(w, b, stride=1 + up, padding=(1, 1))
+    x = Tensor(rng.normal(size=(2, 3 if up else 2, 3 if up else 6, 3 if up else 6)),
+               requires_grad=x_grad)
+    tape = Tape()
+    y = deconv2d_up(x, params, (6, 6), tape) if up else conv2d(x, params, tape)
+    real, built = ops._im2col, []
+
+    def spy(a, *args):
+        cols = real(a, *args)
+        built.append((a.shape[1], weakref.ref(cols[0])))
+        return cols
+
+    monkeypatch.setattr(ops, "_im2col", spy)
+    pull_back(tape, y, rng.normal(size=y.shape))
+    assert [c for c, _ in built] == [y.shape[1]] and y.shape[1] != x.shape[1]
+    assert [ref() for _, ref in built] == [None]
+    assert (x.grad is not None, w.grad is not None) == (x_grad, w_grad)

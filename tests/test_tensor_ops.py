@@ -491,23 +491,34 @@ def _record_each_op(tape, rng):
 
 class TestRecordingRule:
     def test_input_without_grad_costs_no_adjoint(self, monkeypatch):
-        """A conv over an image that takes no gradient never maps its output
-        gradient back to the image."""
+        """A conv or transposed conv over an input that takes no gradient
+        never maps its output gradient back to that input."""
         import gridseg.ops
 
-        def refuse(*args):
-            raise AssertionError("_adjoint_corr2d called for an input without grad")
+        real = gridseg.ops._patch_grads
+        wrapped = []
 
-        monkeypatch.setattr(gridseg.ops, "_adjoint_corr2d", refuse)
+        def refusing_dx(w, patches, dx, dw):
+            def refuse(cols):
+                raise AssertionError("input gradient computed for an input without grad")
+
+            wrapped.append(w)
+            return real(w, patches, refuse, dw)
+
+        monkeypatch.setattr(gridseg.ops, "_patch_grads", refusing_dx)
         rng = np.random.default_rng(21)
-        x = Tensor(rng.normal(size=(2, 3, 5, 5)))
-        params = make_conv(rng.normal(size=(4, 3, 3, 3)), np.zeros(4), 1, (1, 1))
-        tape = Tape()
-        loss = softmax_cross_entropy(conv2d(x, params, tape),
-                                     rng.integers(0, 4, (2, 5, 5)), tape=tape)
-        backward(tape, loss)
-        assert x.grad is None
-        assert params.weight.grad is not None and params.bias.grad is not None
+        conv = make_conv(rng.normal(size=(4, 3, 3, 3)), np.zeros(4), 1, (1, 1))
+        up = make_conv(rng.normal(size=(3, 4, 3, 3)), np.zeros(4), 2, (1, 1))
+        cases = ((conv, (2, 3, 5, 5), lambda x, tape: conv2d(x, conv, tape)),
+                 (up, (2, 3, 3, 3), lambda x, tape: deconv2d_up(x, up, (5, 5), tape)))
+        for params, shape, op in cases:
+            x = Tensor(rng.normal(size=shape))
+            tape = Tape()
+            loss = softmax_cross_entropy(op(x, tape), rng.integers(0, 4, (2, 5, 5)), tape=tape)
+            backward(tape, loss)
+            assert x.grad is None
+            assert params.weight.grad is not None and params.bias.grad is not None
+        assert wrapped == [conv.weight, up.weight]
 
     def test_output_without_grad_leaves_inputs_untouched(self):
         """Ops whose outputs feed no loss leave every input's grad at None,
