@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -127,6 +128,9 @@ def _scenes(cfg: RunConfig, n: int, first_seed: int):
 def _cmd_report(args) -> int:
     cfg = _load_run_config(args)
     side = cfg.augment.out_size if args.input_size is None else args.input_size
+    if side < cfg.grid.min_side:  # out_size was checked when the config was read
+        raise UsageError(f"--input-size: must be at least the grid's minimum side "
+                         f"{cfg.grid.min_side}, got {side}")
     model = build_grid(cfg.grid, (side, side), seed=cfg.seed)
     _print(grid_report(model))
     return 0
@@ -173,6 +177,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     cfg = _load_run_config(args)
+    if cfg.data.n_eval < 1:
+        raise UsageError(f"data.n_eval is {cfg.data.n_eval}: evaluation needs at least one scene")
     model, _, info = load_checkpoint(args.checkpoint)
     if args.config:  # without one, the checkpoint's own grid stands
         _check_spec(args.checkpoint, model.spec, cfg.grid)
@@ -221,24 +227,30 @@ def _cmd_gradcheck(args) -> int:
     return 0 if doc["passed"] else 2
 
 
+def _warn(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"gridseg: warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-        handler = {
-            "report": _cmd_report,
-            "train": _cmd_train,
-            "eval": _cmd_eval,
-            "infer": _cmd_infer,
-            "gradcheck": _cmd_gradcheck,
-        }[args.command]
-        return handler(args)
-    except (UsageError, ConfigError) as e:
-        print(f"gridseg: {e}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, RuntimeError, MemoryError) as e:
-        print(f"gridseg: {e}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _warn  # one line per warning, without Python's source line
+        try:
+            args = parser.parse_args(argv)
+            handler = {
+                "report": _cmd_report,
+                "train": _cmd_train,
+                "eval": _cmd_eval,
+                "infer": _cmd_infer,
+                "gradcheck": _cmd_gradcheck,
+            }[args.command]
+            return handler(args)
+        except (UsageError, ConfigError) as e:
+            print(f"gridseg: {e}", file=sys.stderr)
+            return 1
+        except (OSError, ValueError, RuntimeError, MemoryError) as e:
+            print(f"gridseg: {e}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

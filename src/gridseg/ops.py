@@ -16,11 +16,12 @@ primitive, `_adjoint_corr2d`, serves the upsampling forward pass and the
 input gradient of every stride-2 convolution; stride 1 is its one-phase
 case.
 
-A stride-1 convolution and a transposed convolution take both of their
-gradients from one patch matrix of the output gradient (`_patch_grads`):
-the input gradient is a kernel times it, and the weight gradient is the
-input times its transpose, so the backward pass pads and unfolds no
-input. That matrix lives only while the op's backward runs.
+A stride-1 convolution with kernel w and padding p is the transpose of
+the correlation with ``_swap(w)`` (w flipped and channel-swapped) at
+padding k-1-p (Dumoulin & Visin, arXiv 1603.07285), so it shares the
+transposed convolution's backward, `_transposed_grads`: both gradients
+come from one patch matrix of the output gradient, which lives only
+while the op's backward runs, and no input is unfolded.
 
 Every op states one gradient map per input, from the output gradient
 to that input's gradient, and hands them to `_result`, the one place
@@ -93,6 +94,7 @@ def _window(x: np.ndarray, h0: int, h1: int, w0: int, w1: int) -> np.ndarray:
 
 
 def _pad2d(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """x zero-padded by ph rows and pw columns per side; a negative pad crops."""
     return _window(x, -ph, x.shape[2] + ph, -pw, x.shape[3] + pw)
 
 
@@ -118,17 +120,6 @@ def _corr2d(x: np.ndarray, w: np.ndarray, stride: int, padding) -> np.ndarray:
     cols, oh, ow = _im2col(xp, kh, kw, stride)
     out = np.matmul(w.reshape(co, ci * kh * kw), cols)
     return out.reshape(x.shape[0], co, oh, ow)
-
-
-def _corr2d_weight_grad(x, g, stride, padding, kh, kw) -> np.ndarray:
-    """Contraction of input x (n,ci,..) with output grad g (n,co,oh,ow): the
-    weight gradient of a strided `conv2d`, its one user (see `_patch_grads`)."""
-    xp = _pad2d(x, padding[0], padding[1])
-    cols, oh, ow = _im2col(xp, kh, kw, stride)
-    n, co = g.shape[0], g.shape[1]
-    gm = g.reshape(n, co, oh * ow)
-    dw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
-    return dw.reshape(co, x.shape[1], kh, kw)
 
 
 def _phases(n_out: int, k: int, stride: int, pad: int):
@@ -191,26 +182,34 @@ def _bias_grad(g: np.ndarray) -> np.ndarray:
     return g.sum(axis=(0, 2, 3))
 
 
-def _patch_grads(w: Tensor, patches, dx, dw):
-    """Maps for x, w and b whose x and w gradients are ``dx(G)`` and
-    ``dw(G)`` of one patch matrix ``G = patches(g)`` of the output gradient.
+def _transposed_grads(x: Tensor, w: Tensor, k: np.ndarray, stride: int, pad):
+    """Maps for x, w and b of the transpose of correlating with kernel k
+    (w or a view of it) at ``stride`` and ``pad``.
 
+    Both gradients read one patch matrix G of the padded output gradient:
+    dx is ``k @ G`` and k's gradient is the sum over n of ``x_n @ G_n^T``.
     The x map runs first (`_result` runs maps in input order) and keeps G
-    only when the w map will run, which takes it or else builds it: G is
-    built once and gone when the op's backward returns.
+    only when w takes a gradient; the w map takes it or else builds it, so
+    G is built once and gone when the op's backward returns.
     """
+    kh, kw = k.shape[2:]
     held = []
 
-    def x_map(g):
+    def patches(g):
+        return _im2col(_pad2d(g, *pad), kh, kw, stride)[0]
+
+    def dx(g):
         cols = patches(g)
         if w.requires_grad:
             held.append(cols)
-        return dx(cols)
+        return np.matmul(k.reshape(k.shape[0], -1), cols).reshape(x.shape)
 
-    def w_map(g):
-        return dw(held.pop() if held else patches(g))
+    def dk(g):
+        cols = held.pop() if held else patches(g)
+        d = np.matmul(x.data.reshape(*x.shape[:2], -1), cols.transpose(0, 2, 1))
+        return d.sum(axis=0).reshape(k.shape)
 
-    return x_map, w_map, _bias_grad
+    return dx, dk, _bias_grad
 
 
 # ---------------------------------------------------------------------------
@@ -263,31 +262,22 @@ def conv2d(x: Tensor, params: ConvParams, tape: Tape | None = None) -> Tensor:
 
 
 def _conv_grads(x: Tensor, w: Tensor, stride: int, pad):
-    """`conv2d`'s gradient maps for x, w and b.
-
-    At stride 1, G's row (co, a, b) and column (i, j) hold g[co, i + a +
-    ph - kh + 1, j + b + pw - kw + 1], zero off g: dx is the flipped,
-    channel-swapped kernel times G, and dw[co, ci, dy, dx] = sum over n of
-    (x_n @ G_n^T)[ci, (co, kh-1-dy, kw-1-dx)], with no patch matrix of x.
-    """
-    n, ci, h, wd = x.shape
-    co, _, kh, kw = w.shape
-    if stride != 1:
-        return (lambda g: _adjoint_corr2d(g, w.data, stride, pad, x.shape[2:]),
-                lambda g: _corr2d_weight_grad(x.data, g, stride, pad, kh, kw),
-                _bias_grad)
+    """`conv2d`'s gradient maps for x, w and b: at stride 1 those of the
+    transposed correlation with ``_swap(w)`` at padding k-1-p, the weight's
+    swapped back; at stride 2, the phase-split `_adjoint_corr2d` of g and
+    the contraction of g with the patch matrix of the padded x."""
+    kh, kw = w.shape[2:]
     ph, pw = pad
+    if stride == 1:
+        dx, dk, db = _transposed_grads(x, w, _swap(w.data), 1, (kh - 1 - ph, kw - 1 - pw))
+        return dx, lambda g: np.ascontiguousarray(_swap(dk(g))), db
 
-    def patches(g):
-        return _im2col(_window(g, ph - kh + 1, ph + h, pw - kw + 1, pw + wd), kh, kw, 1)[0]
+    def dw(g):
+        cols = _im2col(_pad2d(x.data, ph, pw), kh, kw, stride)[0]
+        d = np.matmul(g.reshape(*g.shape[:2], -1), cols.transpose(0, 2, 1))
+        return d.sum(axis=0).reshape(w.shape)
 
-    def dw(cols):
-        d = np.matmul(x.data.reshape(n, ci, h * wd), cols.transpose(0, 2, 1)).sum(axis=0)
-        return np.ascontiguousarray(_swap(d.reshape(ci, co, kh, kw)))
-
-    return _patch_grads(
-        w, patches,
-        lambda cols: np.matmul(_swap(w.data).reshape(ci, -1), cols).reshape(x.shape), dw)
+    return lambda g: _adjoint_corr2d(g, w.data, stride, pad, x.shape[2:]), dw, _bias_grad
 
 
 def deconv2d_up(x: Tensor, params: ConvParams, target_hw, tape: Tape | None = None) -> Tensor:
@@ -297,7 +287,7 @@ def deconv2d_up(x: Tensor, params: ConvParams, target_hw, tape: Tape | None = No
     that the matching conv would not map back to the input's size.
     """
     w, b = params.weight, params.bias
-    co, ci, kh, kw = w.shape
+    co = w.shape[0]
     if params.stride != 2:
         raise ValueError(f"deconv2d_up requires stride 2, got {params.stride}")
     if x.data.ndim != 4 or x.shape[1] != co:
@@ -308,13 +298,7 @@ def deconv2d_up(x: Tensor, params: ConvParams, target_hw, tape: Tape | None = No
     th, tw = int(target_hw[0]), int(target_hw[1])
     y = _adjoint_corr2d(x.data, w.data, stride, pad, (th, tw))
     y += b.data.reshape(1, -1, 1, 1)
-    # G is g's patch matrix under the matching conv: dx is that conv's
-    # output, and dw its weight gradient with x as the output gradient
-    return _result(y, (x, w, b), tape, tape and _patch_grads(
-        w, lambda g: _im2col(_pad2d(g, *pad), kh, kw, stride)[0],
-        lambda cols: np.matmul(w.data.reshape(co, -1), cols).reshape(x.shape),
-        lambda cols: np.matmul(x.data.reshape(x.shape[0], co, -1),
-                               cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape)))
+    return _result(y, (x, w, b), tape, tape and _transposed_grads(x, w, w.data, stride, pad))
 
 
 # ---------------------------------------------------------------------------

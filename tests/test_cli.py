@@ -101,6 +101,19 @@ class TestTrainEvalInfer:
             outs.append(Path(out_path).read_bytes())
         assert outs[0] == outs[1]
 
+    def test_skipped_scale_warns_in_one_line(self, capsys, tmp_path, tiny_config):
+        ckpt = str(tmp_path / "m.grdn")
+        run(capsys, "train", "--config", tiny_config, "--checkpoint", ckpt, "--epochs", "0")
+        path = tmp_path / "scales.json"
+        path.write_text(json.dumps({**TINY, "eval": {"scales": [1.0, 0.25]}}))
+        img = str(tmp_path / "in.ppm")
+        write_ppm(img, generate_scene(97, width=4, height=4).image)
+        code, _, err = run(capsys, "infer", "--config", str(path), "--checkpoint", ckpt,
+                           "--image", img, "--out", str(tmp_path / "p.pgm"))
+        assert code == 0
+        assert err == ("gridseg: warning: scale 0.25 gives 1x1, below the 2-pixel minimum "
+                       "side; skipping\n")
+
     def test_epochs_zero_writes_initial_checkpoint(self, capsys, tmp_path, tiny_config):
         ckpt = str(tmp_path / "init.grdn")
         code, out, _ = run(capsys, "train", "--config", tiny_config,
@@ -247,6 +260,15 @@ class TestExitCodes:
                            f"expected 'concat'\n")
             assert run(capsys, command, "--config", tiny_config, *argv)[0] == 0, command
 
+    def test_config_without_eval_scenes_is_usage_error(self, capsys, tmp_path, tiny_config):
+        ckpt = str(tmp_path / "m.grdn")
+        run(capsys, "train", "--config", tiny_config, "--checkpoint", ckpt, "--epochs", "0")
+        path = tmp_path / "no_eval.json"
+        path.write_text(json.dumps({**TINY, "data": {**TINY["data"], "n_eval": 0}}))
+        code, out, err = run(capsys, "eval", "--config", str(path), "--checkpoint", ckpt)
+        assert code == 1 and out == ""
+        assert "data.n_eval is 0" in err and err.count("\n") == 1
+
     def test_truncated_checkpoint_is_runtime_error(self, capsys, tmp_path, tiny_config):
         ckpt = tmp_path / "m.grdn"
         ckpt.write_bytes(b"GRDN\x01\x00")
@@ -379,6 +401,8 @@ class TestExitCodes:
         (["gradcheck", "--tol", "x"], "--tol: invalid float value"),
         (["eval", "--checkpoint", "m.grdn", "--threads", str((os.cpu_count() or 1) + 1)],
          f"--threads: must be at most {os.cpu_count() or 1}"),
+        (["report", "--input-size", "3"], "--input-size: must be at least the grid's minimum "
+                                          "side 16, got 3"),
     ])
     def test_out_of_range_flag_is_usage_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -1,5 +1,6 @@
 """Property tests of the phase-split adjoint correlation behind every
-transposed convolution and every stride-2 convolution input gradient, and
+transposed convolution and every stride-2 convolution input gradient, of
+the transposed-correlation identity behind the stride-1 conv backward, and
 of the conv gradients that share one patch matrix of the output gradient."""
 
 import weakref
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gridseg import ConvParams, Tape, Tensor, backward, conv2d, deconv2d_up, ops
-from gridseg.ops import _adjoint_corr2d, _result
+from gridseg.ops import _adjoint_corr2d, _corr2d, _result, _swap
 
 
 def adjoint_zero_insert(x, w, stride, padding, out_hw):
@@ -182,6 +183,29 @@ def test_deconv_grads_bitwise_equal_two_patch_matrices(case, dtype):
     for a, b in zip(got, two_matrix_deconv_grads(x, w, g, pad)):
         assert a.dtype == dtype and a.shape == b.shape
         assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(adjoint_cases(), st.sampled_from([np.float64, np.float32]))
+def test_input_grad_is_a_correlation_of_g(case, dtype):
+    """A stride-1 conv is the transpose of correlating with ``_swap(w)`` at
+    padding k-1-p, and a transposed conv that of correlating with w at
+    stride 2 and padding p: each op's input gradient is that correlation
+    of its output gradient, bit for bit."""
+    x, w, stride, pad, out_hw = case
+    x, w = x.astype(dtype), w.astype(dtype)
+    # x is a conv's output gradient and a deconv's input; z is sized for the
+    # conv's input and the deconv's output gradient
+    z = np.random.default_rng(x.size).normal(size=(x.shape[0], w.shape[1], *out_hw)).astype(dtype)
+    if stride == 1:
+        k = w.shape[2]
+        got = op_grads(conv2d, z, w, x, 1, pad)[0]
+        want = _corr2d(x, _swap(w), 1, (k - 1 - pad[0], k - 1 - pad[1]))
+    else:
+        got = op_grads(lambda x, p, tape: deconv2d_up(x, p, out_hw, tape), x, w, z, 2, pad)[0]
+        want = _corr2d(z, w, 2, pad)
+    assert got.dtype == dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("up", [False, True])

@@ -495,17 +495,17 @@ class TestRecordingRule:
         never maps its output gradient back to that input."""
         import gridseg.ops
 
-        real = gridseg.ops._patch_grads
+        real = gridseg.ops._transposed_grads
         wrapped = []
 
-        def refusing_dx(w, patches, dx, dw):
-            def refuse(cols):
+        def refusing_dx(x, w, *args):
+            def refuse(g):
                 raise AssertionError("input gradient computed for an input without grad")
 
             wrapped.append(w)
-            return real(w, patches, refuse, dw)
+            return (refuse, *real(x, w, *args)[1:])
 
-        monkeypatch.setattr(gridseg.ops, "_patch_grads", refusing_dx)
+        monkeypatch.setattr(gridseg.ops, "_transposed_grads", refusing_dx)
         rng = np.random.default_rng(21)
         conv = make_conv(rng.normal(size=(4, 3, 3, 3)), np.zeros(4), 1, (1, 1))
         up = make_conv(rng.normal(size=(3, 4, 3, 3)), np.zeros(4), 2, (1, 1))
