@@ -90,8 +90,8 @@ def _build_parser() -> _Parser:
     sp.add_argument("--out", required=True, help="output label map (PGM)")
     sp.add_argument("--color", default=None, help="optional color render (PPM)")
 
-    sp = sub.add_parser("gradcheck", parents=[common],
-                        help="finite-difference gradient audit")
+    # gradcheck audits a fixed model and reads no config or seed
+    sp = sub.add_parser("gradcheck", help="finite-difference gradient audit")
     sp.add_argument("--coords", type=_number(int, 1), default=80,
                     help="parameter coordinates to probe")
     sp.add_argument("--tol", type=_number(float, 0, strict=True), default=1e-4,

@@ -11,17 +11,24 @@ congruent to (rh, rw) modulo the stride receive only the kernel taps
 ``w[:, :, rh::s, rw::s]``, so each phase is a stride-1 correlation of
 the undilated input with that flipped, channel-swapped sub-kernel (the
 sub-pixel form of a transposed convolution, Shi et al., arXiv
-1609.07009). No multiply-add touches an inserted zero. The same
-primitive, `_adjoint_corr2d`, serves the upsampling forward pass and the
-input gradient of every stride-2 convolution; stride 1 is its one-phase
-case.
+1609.07009). The phases run stacked as the output channels of one such
+correlation, each sub-kernel set into a ceil(k/s) x ceil(k/s)
+super-kernel whose empty slots hold zero: one patch matrix and one
+matrix product for all phases, at the price of multiply-adds by those
+zeros (16 slots for the 9 taps of a 3x3 kernel at stride 2). The
+benchmark's ``gmac`` figures stay nominal, computed from the op's
+shapes, and do not count them. The same primitive, `_adjoint_corr2d`,
+serves the upsampling forward pass and the input gradient of every
+stride-2 convolution; stride 1 is its one-phase case.
 
 A stride-1 convolution with kernel w and padding p is the transpose of
 the correlation with ``_swap(w)`` (w flipped and channel-swapped) at
 padding k-1-p (Dumoulin & Visin, arXiv 1603.07285), so it shares the
 transposed convolution's backward, `_transposed_grads`: both gradients
 come from one patch matrix of the output gradient, which lives only
-while the op's backward runs, and no input is unfolded.
+while the op's backward runs, and no input is unfolded. Every weight
+gradient is taken by `_weight_grad` with the patch matrix on the left of
+the product.
 
 Every op states one gradient map per input, from the output gradient
 to that input's gradient, and hands them to `_result`, the one place
@@ -122,37 +129,40 @@ def _corr2d(x: np.ndarray, w: np.ndarray, stride: int, padding) -> np.ndarray:
     return out.reshape(x.shape[0], co, oh, ow)
 
 
-def _phases(n_out: int, k: int, stride: int, pad: int):
-    """Per output phase along one axis of `_adjoint_corr2d`.
+def _live_phases(n_out: int, k: int, stride: int, pad: int):
+    """Per live output phase along one axis of `_adjoint_corr2d`.
 
-    Yields (r, o0, lo, hi): outputs o0, o0 + stride, ... < n_out take the
-    kernel taps r, r + stride, ... < k, and are the stride-1 correlation
-    of input rows lo..hi-1 (rows outside the input read as zero) with
-    those taps reversed. Output o = o0 + stride*j gathers input
-    q0 + j - m through tap r + stride*m, where q0 = (o0 + pad - r) / stride.
+    Yields (r, o0, j0, count): the outputs o0, o0 + stride, ... < n_out,
+    count of them, take the kernel taps r, r + stride, ... < k, and output
+    o0 + stride*j is entry j0 + j of the stacked correlation along this
+    axis. Output o gathers input (o + pad - t) / stride through tap t, so
+    entry J = (o + pad) // stride - pad // stride of every phase reads the
+    same input rows. A phase with no tap or no output is not live.
     """
-    for r in range(stride):
-        taps = len(range(r, k, stride))
+    for r in range(min(stride, k)):
         o0 = (r - pad) % stride
         count = len(range(o0, n_out, stride))
-        if taps and count:
-            q0 = (o0 + pad - r) // stride
-            yield r, o0, q0 - taps + 1, q0 + count
+        if count:
+            yield r, o0, (o0 + pad) // stride - pad // stride, count
 
 
 def _adjoint_corr2d(x, w, stride, padding, out_hw) -> np.ndarray:
     """Adjoint of `_corr2d` in its input argument.
 
-    Maps x (n,co,h,w) back to (n,ci,*out_hw). Each of the stride**2
-    output phases (rh, rw) is the correlation of a window of the
-    undilated x with the sub-kernel ``w[:, :, rh::s, rw::s]``, flipped
-    and channel-swapped, written to ``y[:, :, o0h::s, o0w::s]``: the
-    sub-pixel convolution form of the transposed convolution (arXiv
-    1609.07009). The window carries zeros only where it runs past the
-    border of x; a phase with no taps (a 1x1 kernel at stride 2) stays
-    zero. out_hw must be a size that `_corr2d` maps back to x's: the
-    implied output padding lies in [0, stride) per axis, and the padding
-    is below the kernel size.
+    Maps x (n,co,h,w) back to (n,ci,*out_hw) as one stride-1 correlation
+    of the undilated x whose output channels are the live output phases
+    (rh, rw) stacked: the sub-pixel convolution form of the transposed
+    convolution (arXiv 1609.07009). Phase (rh, rw) takes the sub-kernel
+    ``w[:, :, rh::s, rw::s]``, flipped and channel-swapped, set into the
+    trailing corner of a ceil(k/s) x ceil(k/s) super-kernel whose other
+    slots hold zero (16 slots for the 9 taps of a 3x3 kernel at stride 2,
+    one slot for a 1x1), and is written to ``y[:, :, o0h::s, o0w::s]``.
+    One window of x, one patch matrix and one matrix product serve every
+    phase; the window carries zeros only where it runs past the border of
+    x, and a phase with no taps (a 1x1 kernel at stride 2) stays zero.
+    out_hw must be a size that `_corr2d` maps back to x's: the implied
+    output padding lies in [0, stride) per axis, and the padding is below
+    the kernel size.
     """
     n, co, h, w_in = x.shape
     _, ci, kh, kw = w.shape
@@ -163,12 +173,27 @@ def _adjoint_corr2d(x, w, stride, padding, out_hw) -> np.ndarray:
         raise ValueError(f"target {tuple(out_hw)} unreachable from input {(h, w_in)} with "
                          f"kernel {(kh, kw)}, stride {stride}, padding {tuple(padding)}: "
                          f"implied output padding {opad}")
-    y = np.zeros((n, ci, oh, ow), dtype=np.result_type(x.dtype, w.dtype))
-    for rh, o0h, h0, h1 in _phases(oh, kh, stride, padding[0]):
-        for rw, o0w, w0, w1 in _phases(ow, kw, stride, padding[1]):
-            y[:, :, o0h::stride, o0w::stride] = _corr2d(
-                _window(x, h0, h1, w0, w1), _swap(w[:, :, rh::stride, rw::stride]), 1, (0, 0)
-            )
+    s, (ph, pw) = stride, padding
+    th, tw = -(-kh // s), -(-kw // s)
+    phases = list(itertools.product(_live_phases(oh, kh, s, ph), _live_phases(ow, kw, s, pw)))
+    # kept (co, th, tw, phase, ci), so that the matrix product reads it
+    # transposed and OpenBLAS takes its packed GEMM, which adds each
+    # output's products in K order with FMA wherever the output sits: the
+    # zero slots add exact zeros and each phase keeps its per-phase bits.
+    # OpenBLAS's small-matrix kernel for untransposed operands rounds the
+    # columns past the last multiple of 16 otherwise, and the stacked
+    # output has more columns than each phase had
+    kern = np.zeros((co, th, tw, len(phases), ci), dtype=w.dtype)
+    for i, ((rh, *_), (rw, *_)) in enumerate(phases):
+        sub = _swap(w[:, :, rh::s, rw::s]).transpose(1, 2, 3, 0)
+        kern[:, th - sub.shape[1]:, tw - sub.shape[2]:, i] = sub
+    win = _window(x, ph // s - th + 1, (oh - 1 + ph) // s + 1,
+                  pw // s - tw + 1, (ow - 1 + pw) // s + 1)
+    out = _corr2d(win, kern.reshape(co, th, tw, -1).transpose(3, 0, 1, 2), 1, (0, 0))
+    out = out.reshape(n, len(phases), ci, *out.shape[2:])
+    y = np.zeros((n, ci, oh, ow), dtype=out.dtype)
+    for i, ((_, o0h, jh, ch), (_, o0w, jw, cw)) in enumerate(phases):
+        y[:, :, o0h::s, o0w::s] = out[:, i, :, jh:jh + ch, jw:jw + cw]
     return y
 
 
@@ -182,12 +207,25 @@ def _bias_grad(g: np.ndarray) -> np.ndarray:
     return g.sum(axis=(0, 2, 3))
 
 
+def _weight_grad(a: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
+    """The sum over n of ``a_n @ cols_n^T``, reshaped to ``shape``, for a
+    (n,m,...) and patch matrices cols (n,K,L), where a_n flattens to (m,L).
+
+    Taken as the transpose of the sum of ``cols_n @ a_n^T``: each entry is
+    the same products added in the same order, and OpenBLAS runs the
+    product up to twice as fast with the long patch matrix on the left.
+    """
+    d = np.matmul(cols, a.reshape(*a.shape[:2], -1).transpose(0, 2, 1))
+    return d.sum(axis=0).T.reshape(shape)
+
+
 def _transposed_grads(x: Tensor, w: Tensor, k: np.ndarray, stride: int, pad):
     """Maps for x, w and b of the transpose of correlating with kernel k
     (w or a view of it) at ``stride`` and ``pad``.
 
     Both gradients read one patch matrix G of the padded output gradient:
-    dx is ``k @ G`` and k's gradient is the sum over n of ``x_n @ G_n^T``.
+    dx is ``k @ G`` and k's gradient is the sum over n of ``x_n @ G_n^T``,
+    taken by `_weight_grad` as the transpose of the sum of ``G_n @ x_n^T``.
     The x map runs first (`_result` runs maps in input order) and keeps G
     only when w takes a gradient; the w map takes it or else builds it, so
     G is built once and gone when the op's backward returns.
@@ -205,9 +243,7 @@ def _transposed_grads(x: Tensor, w: Tensor, k: np.ndarray, stride: int, pad):
         return np.matmul(k.reshape(k.shape[0], -1), cols).reshape(x.shape)
 
     def dk(g):
-        cols = held.pop() if held else patches(g)
-        d = np.matmul(x.data.reshape(*x.shape[:2], -1), cols.transpose(0, 2, 1))
-        return d.sum(axis=0).reshape(k.shape)
+        return _weight_grad(x.data, held.pop() if held else patches(g), k.shape)
 
     return dx, dk, _bias_grad
 
@@ -264,8 +300,8 @@ def conv2d(x: Tensor, params: ConvParams, tape: Tape | None = None) -> Tensor:
 def _conv_grads(x: Tensor, w: Tensor, stride: int, pad):
     """`conv2d`'s gradient maps for x, w and b: at stride 1 those of the
     transposed correlation with ``_swap(w)`` at padding k-1-p, the weight's
-    swapped back; at stride 2, the phase-split `_adjoint_corr2d` of g and
-    the contraction of g with the patch matrix of the padded x."""
+    swapped back; at stride 2, the stacked-phase `_adjoint_corr2d` of g and
+    the `_weight_grad` of g against the patch matrix of the padded x."""
     kh, kw = w.shape[2:]
     ph, pw = pad
     if stride == 1:
@@ -273,9 +309,7 @@ def _conv_grads(x: Tensor, w: Tensor, stride: int, pad):
         return dx, lambda g: np.ascontiguousarray(_swap(dk(g))), db
 
     def dw(g):
-        cols = _im2col(_pad2d(x.data, ph, pw), kh, kw, stride)[0]
-        d = np.matmul(g.reshape(*g.shape[:2], -1), cols.transpose(0, 2, 1))
-        return d.sum(axis=0).reshape(w.shape)
+        return _weight_grad(g, _im2col(_pad2d(x.data, ph, pw), kh, kw, stride)[0], w.shape)
 
     return lambda g: _adjoint_corr2d(g, w.data, stride, pad, x.shape[2:]), dw, _bias_grad
 

@@ -426,6 +426,13 @@ class TestGradcheckCommand:
         doc = json.loads(out)
         assert code == 2 and doc["passed"] is False and doc["checked"] == 0
 
+    @pytest.mark.parametrize("flag,value", [("--config", "/nonexistent.json"), ("--seed", "5")])
+    def test_config_and_seed_are_usage_errors(self, capsys, flag, value):
+        """gradcheck audits a fixed model: a flag it would ignore is refused."""
+        code, out, err = run(capsys, "gradcheck", flag, value)
+        assert code == 1 and out == ""
+        assert f"unrecognized arguments: {flag} {value}" in err and err.count("\n") == 1
+
     def test_impossible_tolerance_fails(self, capsys):
         code, out, _ = run(capsys, "gradcheck", "--coords", "10", "--tol", "1e-18")
         assert code == 2

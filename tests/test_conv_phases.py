@@ -1,7 +1,8 @@
-"""Property tests of the phase-split adjoint correlation behind every
+"""Property tests of the stacked-phase adjoint correlation behind every
 transposed convolution and every stride-2 convolution input gradient, of
-the transposed-correlation identity behind the stride-1 conv backward, and
-of the conv gradients that share one patch matrix of the output gradient."""
+the transposed-correlation identity behind the stride-1 conv backward, of
+the conv gradients that share one patch matrix of the output gradient, and
+of the weight gradients taken with the patch matrix on the left."""
 
 import weakref
 
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from gridseg import ConvParams, Tape, Tensor, backward, conv2d, deconv2d_up, ops
-from gridseg.ops import _adjoint_corr2d, _corr2d, _result, _swap
+from gridseg.ops import _adjoint_corr2d, _corr2d, _result, _swap, _window
 
 
 def adjoint_zero_insert(x, w, stride, padding, out_hw):
@@ -32,6 +33,40 @@ def adjoint_zero_insert(x, w, stride, padding, out_hw):
     wrot = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
     patches = sliding_window_view(buf, (kh, kw), axis=(2, 3))
     return np.einsum("ncijab,dcab->ndij", patches, wrot)
+
+
+def phases(n_out, k, stride, pad):
+    """Per output phase along one axis: (r, o0, lo, hi). Outputs o0,
+    o0 + stride, ... < n_out take the taps r, r + stride, ... < k, and are
+    the stride-1 correlation of input rows lo..hi-1 with those taps
+    reversed."""
+    for r in range(stride):
+        taps = len(range(r, k, stride))
+        o0 = (r - pad) % stride
+        count = len(range(o0, n_out, stride))
+        if taps and count:
+            q0 = (o0 + pad - r) // stride
+            yield r, o0, q0 - taps + 1, q0 + count
+
+
+def adjoint_per_phase(x, w, stride, padding, out_hw):
+    """Reference: one correlation per output phase (rh, rw), of its own
+    window of x with the flipped, channel-swapped sub-kernel
+    ``w[:, :, rh::s, rw::s]``. The sub-kernel is stored transposed, as
+    `_adjoint_corr2d` stores its super-kernel, so both run the same BLAS
+    GEMM. Also says whether some phase's product had one row or one
+    column, which numpy runs as a matrix-vector product instead."""
+    n, ci = x.shape[0], w.shape[1]
+    y = np.zeros((n, ci, *out_hw), dtype=np.result_type(x.dtype, w.dtype))
+    gemv = False
+    for rh, o0h, h0, h1 in phases(out_hw[0], w.shape[2], stride, padding[0]):
+        for rw, o0w, w0, w1 in phases(out_hw[1], w.shape[3], stride, padding[1]):
+            sub = _swap(w[:, :, rh::stride, rw::stride])
+            k = np.ascontiguousarray(sub.transpose(1, 2, 3, 0)).transpose(3, 0, 1, 2)
+            out = _corr2d(_window(x, h0, h1, w0, w1), k, 1, (0, 0))
+            gemv |= min(ci, out.shape[2] * out.shape[3]) == 1
+            y[:, :, o0h::stride, o0w::stride] = out
+    return y, gemv
 
 
 @st.composite
@@ -71,6 +106,61 @@ def test_repeat_calls_bitwise_equal(case):
     a = _adjoint_corr2d(x, w, stride, pad, out_hw)
     b = _adjoint_corr2d(x.copy(), w.copy(), stride, pad, out_hw)
     assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(adjoint_cases(), st.sampled_from([np.float64, np.float32]))
+def test_stacked_phases_bitwise_equal_per_phase_loop(case, dtype):
+    """The super-kernel's zero slots add exact zeros and a GEMM adds each
+    output's products in K order, so the one stacked product gives the
+    per-phase loop's bits. A matrix-vector product groups its sums
+    otherwise; where the loop ran one, the two agree to rounding."""
+    x, w, stride, pad, out_hw = case
+    x, w = x.astype(dtype), w.astype(dtype)
+    got = _adjoint_corr2d(x, w, stride, pad, out_hw)
+    want, gemv = adjoint_per_phase(x, w, stride, pad, out_hw)
+    assert got.dtype == dtype and got.shape == want.shape
+    if gemv:
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+    else:
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("up", [False, True])
+def test_adjoint_unfolds_its_input_once(monkeypatch, up):
+    """A deconv forward and a stride-2 conv's input gradient each run one
+    `_adjoint_corr2d`, which builds one patch matrix for all phases."""
+    real_im2col, real_adjoint = ops._im2col, ops._adjoint_corr2d
+    open_calls, per_call = [], []
+
+    def im2col(*args):
+        if open_calls:
+            open_calls[-1] += 1
+        return real_im2col(*args)
+
+    def adjoint(*args):
+        open_calls.append(0)
+        try:
+            return real_adjoint(*args)
+        finally:
+            per_call.append(open_calls.pop())
+
+    monkeypatch.setattr(ops, "_im2col", im2col)
+    monkeypatch.setattr(ops, "_adjoint_corr2d", adjoint)
+    rng = np.random.default_rng(8)
+    w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+    if up:
+        params = ConvParams(w, Tensor(np.zeros(2)), stride=2, padding=(1, 1))
+        deconv2d_up(Tensor(rng.normal(size=(2, 3, 4, 4))), params, (8, 8))
+    else:
+        params = ConvParams(w, Tensor(np.zeros(3)), stride=2, padding=(1, 1))
+        x = Tensor(rng.normal(size=(2, 2, 8, 8)), requires_grad=True)
+        tape = Tape()
+        y = conv2d(x, params, tape)
+        pull_back(tape, y, rng.normal(size=y.shape))
+        assert x.grad is not None and w.grad is not None
+    assert per_call == [1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -233,3 +323,38 @@ def test_backward_builds_one_patch_matrix_of_g_and_keeps_none(monkeypatch, up, x
     assert [c for c, _ in built] == [y.shape[1]] and y.shape[1] != x.shape[1]
     assert [ref() for _, ref in built] == [None]
     assert (x.grad is not None, w.grad is not None) == (x_grad, w_grad)
+
+
+def weight_grad_patch_matrix_right(a, cols, shape):
+    """The sum over n of ``a_n @ cols_n^T``, the patch matrix on the right."""
+    d = np.matmul(a.reshape(*a.shape[:2], -1), cols.transpose(0, 2, 1))
+    return d.sum(axis=0).reshape(shape)
+
+
+@settings(max_examples=300, deadline=None)
+@given(adjoint_cases(), st.sampled_from([np.float64, np.float32]))
+def test_weight_grads_bitwise_equal_patch_matrix_on_the_right(case, dtype):
+    """Weight gradients are taken as the transpose of the sum of
+    ``cols_n @ a_n^T``: the same products added in the same order, so a
+    stride-1 conv, a stride-2 conv and a deconv each get the bits of the
+    sum of ``a_n @ cols_n^T``."""
+    x, w, stride, pad, out_hw = case
+    x, w = x.astype(dtype), w.astype(dtype)
+    co, ci, k = *w.shape[:2], w.shape[2]
+    # x is a conv's output gradient and a deconv's input; z is sized for the
+    # conv's input and the deconv's output gradient
+    z = np.random.default_rng(x.size).normal(size=(x.shape[0], ci, *out_hw)).astype(dtype)
+    got = [op_grads(conv2d, z, w, x, stride, pad)[1]]
+    if stride == 1:
+        q = (k - 1 - pad[0], k - 1 - pad[1])
+        want = _swap(weight_grad_patch_matrix_right(z, patch_matrix(x, k, k, 1, q),
+                                                    (ci, co, k, k)))
+    else:
+        # a stride-2 conv's weight gradient at input z and output gradient x
+        # is the deconv's at input x and output gradient z
+        want = weight_grad_patch_matrix_right(x, patch_matrix(z, k, k, 2, pad), w.shape)
+        got.append(op_grads(lambda x, p, tape: deconv2d_up(x, p, out_hw, tape), x, w, z, 2,
+                            pad)[1])
+    for a in got:
+        assert a.dtype == dtype and a.shape == want.shape
+        assert a.tobytes() == want.tobytes()

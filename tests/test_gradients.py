@@ -1,6 +1,7 @@
 """Finite-difference checks for every differentiable op, double precision."""
 
 import numpy as np
+import pytest
 
 from gridseg import (
     BatchNorm,
@@ -42,13 +43,22 @@ def test_conv2d_gradients():
     check(loss_fn, [("x", x), ("w", w), ("b", b)], n_coords=80)
 
 
-def test_conv2d_down_gradients():
+# stride-2 geometries: a 3x3 kernel at padding 1, and a 1x1 kernel at
+# padding 0, whose odd output phases take no tap; the 7x7 and 8x8 sides
+# are the two output paddings of a transposed conv from 4x4
+STRIDE2 = pytest.mark.parametrize("k,pad", [(3, 1), (1, 0)])
+SIDES = pytest.mark.parametrize("side", [7, 8])
+
+
+@STRIDE2
+@SIDES
+def test_conv2d_down_gradients(k, pad, side):
     rng = np.random.default_rng(11)
-    x = Tensor(rng.normal(size=(2, 2, 7, 7)), requires_grad=True)
-    w = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
+    x = Tensor(rng.normal(size=(2, 2, side, side)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2, k, k)), requires_grad=True)
     b = Tensor(rng.normal(size=4), requires_grad=True)
     labels = rng.integers(0, 4, (2, 4, 4))
-    params = ConvParams(w, b, stride=2, padding=(1, 1))
+    params = ConvParams(w, b, stride=2, padding=(pad, pad))
 
     def loss_fn(tape):
         return softmax_cross_entropy(conv2d(x, params, tape), labels, tape=tape)
@@ -56,16 +66,19 @@ def test_conv2d_down_gradients():
     check(loss_fn, [("x", x), ("w", w), ("b", b)], n_coords=80)
 
 
-def test_deconv2d_up_gradients():
+@STRIDE2
+@SIDES
+def test_deconv2d_up_gradients(k, pad, side):
     rng = np.random.default_rng(12)
     x = Tensor(rng.normal(size=(2, 4, 4, 4)), requires_grad=True)
-    w = Tensor(rng.normal(size=(4, 2, 3, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2, k, k)), requires_grad=True)
     b = Tensor(rng.normal(size=2), requires_grad=True)
-    labels = rng.integers(0, 2, (2, 7, 7))
-    params = ConvParams(w, b, stride=2, padding=(1, 1))
+    labels = rng.integers(0, 2, (2, side, side))
+    params = ConvParams(w, b, stride=2, padding=(pad, pad))
 
     def loss_fn(tape):
-        return softmax_cross_entropy(deconv2d_up(x, params, (7, 7), tape), labels, tape=tape)
+        return softmax_cross_entropy(deconv2d_up(x, params, (side, side), tape), labels,
+                                     tape=tape)
 
     check(loss_fn, [("x", x), ("w", w), ("b", b)], n_coords=80)
 
