@@ -23,7 +23,6 @@ from .grid import (
     approx_param_count,
     build_grid,
     count_params_exact,
-    fuse_block,
     grid_report,
     preset_mask,
     stream_dims,
@@ -55,7 +54,6 @@ __all__ = [
     "approx_param_count",
     "build_grid",
     "count_params_exact",
-    "fuse_block",
     "grid_report",
     "preset_mask",
     "stream_dims",

@@ -6,15 +6,13 @@ occlude earlier ones. Shape k gets class ``1 + (k + offset) % (C - 1)``
 with a per-scene offset, which keeps the class census balanced across a
 dataset. Pixels carry a class id and an instance id (0 = background).
 
-Images are float32 RGB in [0, 1]; export uses binary PPM/PGM at 8 bits.
+Images are float32 RGB in [0, 1]; image files are binary PPM/PGM at 8 bits.
 The resizers use half-pixel-center sampling and are shared with the
 multi-scale evaluator.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,34 +262,6 @@ def render_class_map(labels: np.ndarray, num_classes: int) -> np.ndarray:
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ValueError("labels outside [0, num_classes)")
     return palette.astype(np.uint8)[labels]
-
-
-def export_scene(scene: Scene, out_dir: str, stem: str) -> dict:
-    """Write image/labels/instances files; returns manifest entries."""
-    os.makedirs(out_dir, exist_ok=True)
-    files = {
-        "image": f"{stem}_image.ppm",
-        "labels": f"{stem}_labels.pgm",
-        "instances": f"{stem}_instances.pgm",
-    }
-    write_ppm(os.path.join(out_dir, files["image"]), scene.image)
-    write_pgm(os.path.join(out_dir, files["labels"]), scene.labels)
-    write_pgm(os.path.join(out_dir, files["instances"]), scene.instances)
-    return {"seed": scene.seed, **files}
-
-
-def export_dataset(scenes: list[Scene], out_dir: str, num_classes: int) -> str:
-    """Write all scenes plus a manifest.json; returns the manifest path."""
-    entries = [export_scene(s, out_dir, f"scene_{k:05d}") for k, s in enumerate(scenes)]
-    manifest = {
-        "num_classes": num_classes,
-        "n_scenes": len(scenes),
-        "scenes": entries,
-    }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-    return path
 
 
 def load_image(path: str) -> np.ndarray:

@@ -35,6 +35,14 @@ under an all-on mask and keeps the walk under its own mask, in order, as
 its ``plan``, the one record of which blocks run. The forward pass, the
 dropout gates, :func:`activation_tally` and :func:`grid_report` read
 only the plan.
+
+A block's fusion is written once, in :meth:`GridModel.forward`: sum
+fusion adds (identity + residual) + vertical; concat fusion stacks the
+same two values as channel slots and projects them back with a 1x1
+conv. The slot layout follows the units the block allocates, the
+horizontal slot iff it has a residual unit and the vertical slot iff it
+has a resampling unit, so it is the full grid's layout under any mask.
+
 Parameter and buffer names are attribute paths, collected by
 :func:`named_leaves`.
 """
@@ -52,6 +60,10 @@ from .tensor import Tape, Tensor
 SUB = "sub"
 UP = "up"
 _MASK_PRESETS = ("full", "conv_deconv", "u_net", "frrn")
+# caps far above any grid numpy can train; they turn an absurd spec into a
+# ValueError naming its field before any arithmetic or allocation overflows
+MAX_STREAMS = 16
+MAX_WIDTH = 1 << 16  # channels of any stream, image channels and classes
 
 
 # ---------------------------------------------------------------------------
@@ -75,14 +87,15 @@ class GridSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "column_kinds", tuple(self.column_kinds))
-        if self.n_streams < 1:
-            raise ValueError(f"n_streams must be >= 1, got {self.n_streams}")
-        if self.base_channels < 1:
-            raise ValueError(f"base_channels must be >= 1, got {self.base_channels}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.image_channels < 1:
-            raise ValueError(f"image_channels must be >= 1, got {self.image_channels}")
+        for name, low, high in (("n_streams", 1, MAX_STREAMS), ("base_channels", 1, MAX_WIDTH),
+                                ("num_classes", 2, MAX_WIDTH), ("image_channels", 1, MAX_WIDTH)):
+            value = getattr(self, name)
+            if not low <= value <= high:
+                raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
+        widest = self.stream_channels(self.n_streams - 1)
+        if widest > MAX_WIDTH:
+            raise ValueError(f"base_channels * 2**(n_streams - 1), the widest stream, must "
+                             f"be at most {MAX_WIDTH}, got {widest}")
         bad = [k for k in self.column_kinds if k not in (SUB, UP)]
         if bad:
             raise ValueError(f"column kinds must be '{SUB}' or '{UP}', got {bad}")
@@ -319,7 +332,10 @@ class GridBlock:
 
     ``identity``, ``residual`` and ``src`` are the block rule's flags
     (:func:`_blocks`) under the model's connection mask; a block outside
-    the plan keeps their defaults.
+    the plan keeps their defaults. ``res`` and ``vert`` are allocated by
+    the rule under the all-on mask, and ``proj`` (concat fusion) has one
+    input slot for each of them; :meth:`GridModel.forward` writes the
+    fusion and fills a slot that the mask switches off with zeros.
     """
 
     row: int
@@ -327,7 +343,6 @@ class GridBlock:
     res: ResidualUnit | None = None
     vert: ResampleUnit | None = None
     proj: ops.ConvParams | None = None  # concat-fusion projection
-    proj_slots: tuple[bool, bool] = (False, False)  # (horizontal, vertical) slots
     identity: bool = False
     residual: bool = False
     src: int | None = None
@@ -335,32 +350,6 @@ class GridBlock:
     @property
     def name(self) -> str:
         return f"block.{self.row}.{self.col}"
-
-
-def fuse_block(identity: Tensor | None, residual: Tensor | None, vertical: Tensor | None,
-               proj: ops.ConvParams | None = None, tape: Tape | None = None) -> Tensor:
-    """Combine the present addends of one block.
-
-    Sum fusion adds them in fixed order (identity, residual, vertical).
-    Concat fusion keeps two channel slots, (identity + residual) and
-    vertical, stacks the present ones, and projects back with a 1x1 conv.
-    """
-    if residual is not None and identity is None:
-        raise ValueError("fuse_block: residual addend without its identity input")
-    if identity is None and vertical is None:
-        raise ValueError("fuse_block: no inputs present")
-    if proj is None:
-        out, *rest = [a for a in (identity, residual, vertical) if a is not None]
-        for addend in rest:
-            out = ops.add(out, addend, tape)
-        return out
-    slots = []
-    if identity is not None:
-        slots.append(identity if residual is None else ops.add(identity, residual, tape))
-    if vertical is not None:
-        slots.append(vertical)
-    stacked = slots[0] if len(slots) == 1 else ops.concat_channels(slots, tape)
-    return ops.conv2d(stacked, proj, tape)
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +397,8 @@ class GridModel:
                 block.vert = ResampleUnit(spec.stream_channels(src), f_i, rng, dtype,
                                           spec.vertical_residual)
             if spec.fusion == "concat":
-                block.proj_slots = (identity, src is not None)
-                block.proj = ops.conv_params(rng, f_i, sum(block.proj_slots) * f_i, 1, 1, 1,
-                                             (0, 0), dtype)
+                slots = residual + (src is not None)
+                block.proj = ops.conv_params(rng, f_i, slots * f_i, 1, 1, 1, (0, 0), dtype)
         self.plan: list[GridBlock] = []  # the blocks that run, in evaluation order
         for i, t, identity, residual, src in walk:
             block = self.blocks[(i, t)]
@@ -469,22 +457,27 @@ class GridModel:
         value: dict[int, Tensor] = {0: stem}
         for block in self.plan:
             i, t = block.row, block.col
-            identity = value[i] if block.identity else None
+            horizontal = value[i] if block.identity else None
             residual = None
             if block.residual and (drop_mask is None or drop_mask.keeps(i, t)):
-                residual = block.res.forward(identity, training, tape)
+                residual = block.res.forward(horizontal, training, tape)
             vertical = None
             if block.src is not None:
                 vertical = block.vert.forward(value[block.src], hw[i], training, tape)
+            if residual is not None:
+                horizontal = ops.add(horizontal, residual, tape)
             want = (x.shape[0], self.spec.stream_channels(i), *hw[i])
-            if block.proj is not None:
-                # keep the projection's channel layout static: slots whose
-                # source is masked off at runtime are fed zeros instead
-                if block.proj_slots[0] and identity is None:
-                    identity = Tensor(np.zeros(want, dtype=self.dtype))
-                if block.proj_slots[1] and vertical is None:
-                    vertical = Tensor(np.zeros(want, dtype=self.dtype))
-            out = fuse_block(identity, residual, vertical, block.proj, tape)
+            if block.proj is None:  # sum fusion
+                addends = [a for a in (horizontal, vertical) if a is not None]
+                out = addends[0] if len(addends) == 1 else ops.add(*addends, tape)
+            else:
+                # concat fusion: one channel slot per unit allocated here, so the
+                # projection's layout is static; a slot masked off at runtime is fed zeros
+                slots = [a if a is not None else Tensor(np.zeros(want, dtype=self.dtype))
+                         for a, unit in ((horizontal, block.res), (vertical, block.vert))
+                         if unit is not None]
+                stacked = slots[0] if len(slots) == 1 else ops.concat_channels(slots, tape)
+                out = ops.conv2d(stacked, block.proj, tape)
             if out.shape != want:
                 raise RuntimeError(f"block ({i},{t}) produced {out.shape}, expected {want}")
             value[i] = out
@@ -545,7 +538,7 @@ def activation_tally(model: GridModel, input_hw=None) -> int:
             if spec.vertical_residual:
                 total += 2 * s_i                 # shortcut conv + add
         if block.proj is not None:
-            slots = sum(block.proj_slots)        # zero-filled slots still stack
+            slots = (block.res is not None) + (block.vert is not None)  # zero-filled too
             if block.residual:
                 total += s_i                     # identity + residual pre-sum
             if slots > 1:

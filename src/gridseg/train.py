@@ -215,6 +215,12 @@ def save_checkpoint(path: str, model: GridModel, optim: Adam, train_seed: int,
             f.flush()
             os.fsync(f.fileno())
         os.replace(tmp, path)
+        # the rename lives in the directory: sync it too, or a crash can lose it
+        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)

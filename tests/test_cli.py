@@ -318,6 +318,25 @@ class TestExitCodes:
                            "--checkpoint", str(tmp_path / "m.grdn"))
         assert code == 1 and "lr_decay must be below 1" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("grid,message", [
+        ({"n_streams": 10**30}, "n_streams must lie in [1, 16]"),
+        ({"base_channels": 10**23}, "base_channels must lie in [1, 65536]"),
+        ({"num_classes": 10**6}, "num_classes must lie in [2, 65536]"),
+        ({"n_streams": 16, "base_channels": 4}, "base_channels * 2**(n_streams - 1)"),
+    ])
+    def test_oversized_grid_is_usage_error(self, capsys, tmp_path, grid, message):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**TINY, "grid": {**TINY["grid"], **grid}}))
+        code, out, err = run(capsys, "report", "--config", str(path))
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert f"section 'grid': {message}" in err
+
+    def test_oversized_header_grid_is_runtime_error(self, capsys, tmp_path, tiny_config):
+        ckpt = self._edited_checkpoint(capsys, tmp_path, tiny_config,
+                                       lambda h: h["spec"].update(n_streams=10**30))
+        code, _, err = run(capsys, "eval", "--config", tiny_config, "--checkpoint", ckpt)
+        assert code == 2 and "n_streams must lie in" in err and err.count("\n") == 1
+
     def test_wrongly_typed_config_value_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({**TINY, "train": {**TINY["train"], "epochs": 1.5}}))

@@ -7,7 +7,6 @@ from gridseg.data import (
     AugmentConfig,
     Scene,
     class_palette,
-    export_dataset,
     generate_dataset,
     generate_scene,
     load_image,
@@ -249,21 +248,6 @@ class TestImageIO:
             read(path)
         text = str(info.value)
         assert text.startswith(f"{path}: ") and message in text and "\n" not in text
-
-    def test_export_dataset_round_trip(self, tmp_path):
-        import json
-        scenes = generate_dataset(2, seed=50, width=32, height=24)
-        manifest_path = export_dataset(scenes, str(tmp_path / "ds"), num_classes=4)
-        with open(manifest_path) as f:
-            manifest = json.load(f)
-        assert manifest["n_scenes"] == 2
-        entry = manifest["scenes"][0]
-        labels = read_pgm(str(tmp_path / "ds" / entry["labels"]))
-        assert np.array_equal(labels, scenes[0].labels)
-        inst = read_pgm(str(tmp_path / "ds" / entry["instances"]))
-        assert np.array_equal(inst, scenes[0].instances)
-        img = read_ppm(str(tmp_path / "ds" / entry["image"]))
-        assert img.shape == (24, 32, 3)
 
     def test_render_class_map(self):
         labels = np.array([[0, 1], [2, 3]])

@@ -25,7 +25,6 @@ from gridseg import (
     backward,
     build_grid,
     count_params_exact,
-    fuse_block,
     grid_report,
     ops,
     preset_mask,
@@ -392,37 +391,74 @@ class TestCounting:
         assert rep["stream_shapes"] == [[4, 16, 13], [8, 8, 7], [16, 4, 4]]
 
 
+def fused_inputs(model, x):
+    """(block, horizontal, vertical, output) per planned block of an eval forward.
+
+    Horizontal is identity + residual and vertical the resampled neighbour,
+    each None where the block has no such addend; both are recomputed from
+    the traced block outputs, outside the grid's own loop.
+    """
+    trace = {}
+    model.forward(x, trace=trace)
+    hw = [stream_dims(model.spec, i, x.shape[2:])[1:] for i in range(model.spec.n_streams)]
+    value = {0: trace["stem"]}
+    out = []
+    for block in model.plan:
+        horizontal = vertical = None
+        if block.identity:
+            horizontal = value[block.row].data
+            if block.residual:
+                horizontal = horizontal + block.res.forward(value[block.row], False, None).data
+        if block.src is not None:
+            vertical = block.vert.forward(value[block.src], hw[block.row], False, None).data
+        value[block.row] = trace[(block.row, block.col)]
+        out.append((block, horizontal, vertical, value[block.row].data))
+    return out
+
+
+def check_concat_blocks(model, x) -> int:
+    """Assert each block projects its slots; returns how many slots were zero-filled."""
+    zero_filled = 0
+    for block, horizontal, vertical, out in fused_inputs(model, x):
+        slots = []
+        for addend, unit in ((horizontal, block.res), (vertical, block.vert)):
+            if unit is not None:
+                zero_filled += addend is None
+                slots.append(np.zeros_like(out) if addend is None else addend)
+        stacked = np.concatenate(slots, axis=1)
+        w = block.proj.weight.data.reshape(out.shape[1], stacked.shape[1])
+        want = np.einsum("oc,nchw->nohw", w, stacked) + block.proj.bias.data.reshape(1, -1, 1, 1)
+        assert np.max(np.abs(out - want)) < 1e-12, block.name
+    return zero_filled
+
+
 class TestFuseBlock:
     def test_sum_order(self):
-        rng = np.random.default_rng(9)
-        a, b, c = (Tensor(rng.normal(size=(1, 4, 3, 3)).astype(np.float32))
-                   for _ in range(3))
-        out = fuse_block(a, b, c)
-        assert np.array_equal(out.data, (a.data + b.data) + c.data)
-        assert np.array_equal(fuse_block(a, None, None).data, a.data)
-        assert np.array_equal(fuse_block(None, None, c).data, c.data)
-        with pytest.raises(ValueError, match="no inputs"):
-            fuse_block(None, None, None)
-        with pytest.raises(ValueError, match="without its identity"):
-            fuse_block(None, b, None)
+        # every block is (identity + residual) + vertical, summed in that order
+        model = build_grid(spec_3s(), (16, 16), seed=9)
+        x = np.random.default_rng(9).normal(size=(1, 3, 16, 16)).astype(np.float32)
+        kinds = set()
+        for block, horizontal, vertical, out in fused_inputs(model, x):
+            present = [a for a in (horizontal, vertical) if a is not None]
+            want = present[0] if len(present) == 1 else present[0] + present[1]
+            assert np.array_equal(out, want), block.name
+            kinds.add((block.identity, block.residual, block.src is not None))
+        assert kinds == {(True, True, False), (False, False, True), (True, True, True)}
 
     def test_concat_projection(self):
-        rng = np.random.default_rng(10)
-        a, b, c = (Tensor(rng.normal(size=(2, 4, 3, 3)).astype(np.float64))
-                   for _ in range(3))
-        proj = ops.conv_params(rng, 4, 8, 1, 1, 1, (0, 0), np.float64)
-        out = fuse_block(a, b, c, proj=proj)
-        stacked = np.concatenate([a.data + b.data, c.data], axis=1)
-        w = proj.weight.data.reshape(4, 8)
-        want = np.einsum("oc,nchw->nohw", w, stacked) + proj.bias.data.reshape(1, 4, 1, 1)
-        assert np.max(np.abs(out.data - want)) < 1e-12
+        # every block projects concat(identity + residual, vertical) with a 1x1 conv
+        model = build_grid(spec_3s(fusion="concat"), (16, 16), seed=10, dtype=np.float64)
+        x = np.random.default_rng(10).normal(size=(2, 3, 16, 16))
+        assert check_concat_blocks(model, x) == 0
 
     def test_concat_zero_fill_keeps_channels(self):
-        # a concat model under the single-path mask still projects from the
-        # full slot layout; forward must not hit a channel mismatch
-        model = build_grid(spec_3s(fusion="concat", mask="conv_deconv"), (16, 16))
-        x = np.random.default_rng(11).normal(size=(1, 3, 16, 16)).astype(np.float32)
-        assert model.forward(x).shape == (1, 3, 16, 16)
+        # a masked concat model still projects from the full slot layout, with
+        # zeros in the slots of units its mask switches off
+        x = np.random.default_rng(11).normal(size=(1, 3, 16, 16))
+        for preset, zero_filled in (("conv_deconv", True), ("u_net", True), ("frrn", False)):
+            model = build_grid(spec_3s(fusion="concat", mask=preset), (16, 16),
+                               dtype=np.float64)
+            assert (check_concat_blocks(model, x) > 0) == zero_filled, preset
 
 
 class TestVerticalResidual:
@@ -569,10 +605,14 @@ class TestPlan:
         spec = GridSpec(4, symmetric_columns(3, 2), base_channels=2, num_classes=3,
                         fusion=fusion, mask=preset)
         model = build_grid(spec, (8, 8))
+
+        def slots(b):  # the projection's (horizontal, vertical) input slots
+            return [b.proj is not None and b.res is not None,
+                    b.proj is not None and b.vert is not None]
+
         doc = [[[n, list(p.shape)] for n, p in model.named_parameters()],
                [[n, list(b.shape)] for n, b in model.named_buffers()],
-               [[b.row, b.col, b.identity, b.residual, b.src, list(b.proj_slots)]
-                for b in model.plan]]
+               [[b.row, b.col, b.identity, b.residual, b.src, slots(b)] for b in model.plan]]
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == \
             _BLOCK_RULE_DIGESTS[(preset, fusion)]
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import os
+import stat
 import struct
 import tempfile
 from pathlib import Path
@@ -185,6 +187,26 @@ class TestCheckpoints:
         assert [p.name for p in tmp_path.iterdir()] == ["model.grdn"]
         _, _, info = load_checkpoint(str(path))
         assert info == {"seed": 8, "epochs_done": 1}
+
+    def test_save_syncs_directory_after_rename(self, tmp_path, monkeypatch):
+        model = tiny_model(seed=3)
+        optim = make_optimizer(model, TrainConfig(epochs=1))
+        events = []
+        replace, fsync = os.replace, os.fsync
+
+        def record_replace(src, dst):
+            replace(src, dst)
+            events.append("replace")
+
+        def record_fsync(fd):
+            fsync(fd)
+            events.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+
+        monkeypatch.setattr(os, "replace", record_replace)
+        monkeypatch.setattr(os, "fsync", record_fsync)
+        save_checkpoint(str(tmp_path / "model.grdn"), model, optim, train_seed=8,
+                        epochs_done=1)
+        assert events == ["fsync file", "replace", "fsync dir"]
 
     def test_resume_matches_straight_run(self, tmp_path):
         scenes = scenes16(6)
