@@ -8,9 +8,11 @@ takes ints but no infinity or NaN). ``grid.image_channels`` must be 3,
 since scenes and images are RGB; ``eval.categories`` must put each of
 the grid's classes in exactly one category, ``augment.out_size`` must
 reach the grid's minimum input side, ``augment.crop_min`` must fit
-inside the generated scenes, and ``grid.mask`` must name a preset that
-can be built for the grid. Sections may be given partially; missing
-fields keep their defaults.
+inside the generated scenes, ``data.max_shapes`` must lie in
+[``grid.num_classes`` - 1, 255] so that every class can appear in a
+scene, and ``grid.mask`` must name a preset that can be built for the
+grid. Sections may be given partially; missing fields keep their
+defaults.
 """
 
 from __future__ import annotations
@@ -108,6 +110,10 @@ class RunConfig:
         if aug.out_size < grid.min_side:
             raise ConfigError(f"section 'augment': out_size {aug.out_size} is below the "
                               f"grid's minimum input side {grid.min_side}")
+        if not grid.num_classes - 1 <= data.max_shapes <= 255:
+            raise ConfigError(f"data.max_shapes {data.max_shapes} does not fit grid.num_classes "
+                              f"{grid.num_classes}: scenes need num_classes - 1 <= max_shapes "
+                              f"<= 255")
         if aug.crop_min > min(data.width, data.height):
             raise ConfigError(f"section 'augment': crop_min {aug.crop_min} exceeds the "
                               f"{data.width}x{data.height} scenes of section 'data'")

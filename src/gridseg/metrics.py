@@ -170,23 +170,23 @@ def multiscale_predict(model, image: np.ndarray, scales=(1.0,)) -> np.ndarray:
     if not scales:
         raise ValueError("need at least one scale")
     h, w = image.shape[:2]
+    side = model.spec.min_side
+    sizes = [(s, int(round(h * s)), int(round(w * s))) for s in scales]
+    if all(min(sh, sw) < side for _, sh, sw in sizes):  # one error, no warning before it
+        raise ValueError(f"every scale fell below the minimum input size: scales "
+                         f"{list(scales)} make the {h}x{w} image smaller than {side} "
+                         f"pixels a side")
     classes = np.arange(model.spec.num_classes)
     votes = np.zeros((len(classes), h, w), np.int64)
-    used = 0
-    for s in scales:
-        sh, sw = int(round(h * s)), int(round(w * s))
-        if min(sh, sw) < model.spec.min_side:
-            warnings.warn(
-                f"scale {s} gives {sh}x{sw}, below the {model.spec.min_side}-pixel "
-                f"minimum side; skipping", RuntimeWarning)
+    for s, sh, sw in sizes:
+        if min(sh, sw) < side:
+            warnings.warn(f"scale {s} gives {sh}x{sw}, below the {side}-pixel "
+                          f"minimum side; skipping", RuntimeWarning)
             continue
         scaled = image if (sh, sw) == (h, w) else resize_bilinear(image, (sh, sw))
         pred = predict_logits(model, scaled).argmax(0)
         back = pred if (sh, sw) == (h, w) else resize_nearest(pred, (h, w))
         votes += back == classes[:, None, None]
-        used += 1
-    if used == 0:
-        raise ValueError("every scale fell below the minimum input size")
     # argmax takes the first maximum, so vote ties go to the lowest class id
     return votes.argmax(0)
 

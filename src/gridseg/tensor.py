@@ -14,6 +14,14 @@ and adds later ones into it in place (:meth:`Tensor.accumulate_grad`);
 slot may so hold, and later overwrite, an output gradient that a
 consumer has finished with, so after :func:`backward` only leaves
 (parameters and inputs) promise a meaningful ``grad``.
+
+Lifetime rule: :func:`backward` drops each closure as soon as it has
+run. The closures are what hold each op's inputs and output tensor, and
+so that output's gradient; an activation and its gradient are therefore
+freed once the last closure that holds them has run, unless the caller
+holds the tensor. After :func:`backward` only leaves and the tensors the
+caller still holds keep a ``grad`` at all (a meaningful one only on
+leaves, as above), and the spent tape holds no closures.
 """
 
 from __future__ import annotations
@@ -75,7 +83,8 @@ class Tape:
 
     A tape can be consumed by :func:`backward` exactly once; reusing it
     would double-count gradient contributions, so a second call is
-    rejected.
+    rejected. Backward pops each closure before running it, so a spent
+    tape holds no closures and keeps no activation alive.
     """
 
     def __init__(self):
@@ -87,12 +96,20 @@ class Tape:
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Propagate d(loss)/d(x) into every recorded tensor's ``grad`` slot."""
+    """Propagate d(loss)/d(x) into every recorded tensor's ``grad`` slot.
+
+    Closures run in reverse recording order and each is dropped once it
+    has run, freeing what only it held: its op's saved arrays, and its
+    output tensor with that tensor's gradient. Afterwards only leaves and
+    the tensors the caller still holds keep a ``grad``, and ``tape``
+    holds no closures.
+    """
     if tape._spent:
         raise RuntimeError("tape already consumed by backward(); record a fresh tape")
     if loss.data.shape != ():
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     tape._spent = True
     loss.grad = np.ones_like(loss.data)
-    for fn in reversed(tape._nodes):
-        fn()
+    nodes = tape._nodes
+    while nodes:
+        nodes.pop()()

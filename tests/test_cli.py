@@ -2,16 +2,21 @@
 
 import json
 import os
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gridseg.cli import main
-from gridseg.data import generate_dataset, generate_scene, read_pgm, write_ppm
+from gridseg.config import DataConfig, EvalConfig
+from gridseg.data import AugmentConfig, generate_dataset, generate_scene, read_pgm, write_ppm
 from gridseg.gradcheck import GradcheckReport
+from gridseg.grid import GridSpec, build_grid, symmetric_columns
 from gridseg.metrics import evaluate_scenes
-from gridseg.train import load_checkpoint
+from gridseg.train import TrainConfig, load_checkpoint, make_optimizer, save_checkpoint
 
 TINY = {
     "grid": {"n_streams": 2, "column_kinds": ["sub", "up"],
@@ -113,6 +118,17 @@ class TestTrainEvalInfer:
         assert code == 0
         assert err == ("gridseg: warning: scale 0.25 gives 1x1, below the 2-pixel minimum "
                        "side; skipping\n")
+
+    def test_every_scale_skipped_is_one_line_error(self, capsys, tmp_path, tiny_config):
+        ckpt = str(tmp_path / "m.grdn")
+        run(capsys, "train", "--config", tiny_config, "--checkpoint", ckpt, "--epochs", "0")
+        img = str(tmp_path / "in.ppm")
+        write_ppm(img, generate_scene(97, width=4, height=4).image[:1, :1])
+        code, out, err = run(capsys, "infer", "--checkpoint", ckpt, "--image", img,
+                             "--out", str(tmp_path / "p.pgm"))
+        assert code == 2 and out == ""
+        assert err == ("gridseg: every scale fell below the minimum input size: scales "
+                       "[1.0] make the 1x1 image smaller than 2 pixels a side\n")
 
     def test_epochs_zero_writes_initial_checkpoint(self, capsys, tmp_path, tiny_config):
         ckpt = str(tmp_path / "init.grdn")
@@ -367,6 +383,16 @@ class TestExitCodes:
         assert not (tmp_path / "m.grdn").exists()
 
     @pytest.mark.parametrize("command", ["train", "report"])
+    def test_max_shapes_below_num_classes_is_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**TINY, "grid": {**TINY["grid"], "num_classes": 10}}))
+        argv = ["--checkpoint", str(tmp_path / "m.grdn")] if command == "train" else []
+        code, out, err = run(capsys, command, "--config", str(path), *argv)
+        assert code == 1 and err.count("\n") == 1 and out == ""
+        assert "data.max_shapes 8 does not fit grid.num_classes 10" in err
+        assert not (tmp_path / "m.grdn").exists()
+
+    @pytest.mark.parametrize("command", ["train", "report"])
     def test_unbuildable_mask_preset_is_usage_error(self, capsys, tmp_path, command):
         path = tmp_path / "run.json"
         path.write_text(json.dumps({**TINY, "grid": {**TINY["grid"], "n_streams": 1,
@@ -456,3 +482,160 @@ class TestGradcheckCommand:
         code, out, _ = run(capsys, "gradcheck", "--coords", "10", "--tol", "1e-18")
         assert code == 2
         assert json.loads(out)["passed"] is False
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any config, checkpoint header or image ends in exit 0, 1 or 2
+# ---------------------------------------------------------------------------
+
+SECTIONS = {"grid": GridSpec, "data": DataConfig, "augment": AugmentConfig,
+            "train": TrainConfig, "eval": EvalConfig}
+# the sizes a model is allocated by stay small; values past the GridSpec caps
+# are tested one by one in TestExitCodes, never by building a model
+SIZES = {"n_streams": st.integers(0, 4), "base_channels": st.integers(0, 6),
+         "num_classes": st.integers(1, 12), "image_channels": st.integers(0, 4)}
+WORDS = {"fusion": ("sum", "concat"), "mask": ("full", "conv_deconv", "u_net", "frrn"),
+         "decay_mode": ("inverse_time", "multiplicative")}
+# leaves of a type no int field takes, so a wrong-typed value never reaches a size
+foreign = (st.none() | st.booleans() | st.floats() | st.text(max_size=4)
+           | st.lists(st.none(), max_size=2))
+
+
+def mostly(usual, odd):
+    """``usual`` nine times in ten, else ``odd`` (``|`` would weigh each branch
+    of a union alike)."""
+    return st.integers(0, 9).flatmap(lambda k: odd if k == 0 else usual)
+
+
+def _field_values(name, hint):
+    if name in SIZES:
+        typed = SIZES[name]
+    elif name in WORDS:
+        typed = mostly(st.sampled_from(WORDS[name]), st.text(max_size=4))
+    elif name == "column_kinds":
+        typed = st.lists(mostly(st.sampled_from(["sub", "up"]), st.just("down")), max_size=5)
+    elif name == "scales":
+        typed = st.lists(st.floats(-1, 3), max_size=3)
+    elif name == "categories":
+        typed = st.none() | st.dictionaries(
+            st.text(max_size=2), st.lists(st.integers(-1, 12), max_size=4), max_size=4)
+    else:
+        by_type = {int: st.integers(-3, 300), float: mostly(st.floats(-2, 2), st.floats()),
+                   bool: st.booleans(), str: st.text(max_size=4), type(None): st.none()}
+        typed = st.one_of([by_type[h] for h in typing.get_args(hint) or (hint,)])
+    return mostly(typed, foreign)
+
+
+def _section(cls):
+    hints = typing.get_type_hints(cls)
+    return st.fixed_dictionaries(
+        {}, optional={name: _field_values(name, hint) for name, hint in hints.items()})
+
+
+config_documents = st.fixed_dictionaries({}, optional={
+    **{name: mostly(_section(cls), foreign) for name, cls in SECTIONS.items()},
+    "seed": mostly(st.integers(-2, 2**70), foreign),
+})
+input_sizes = st.none() | mostly(st.integers(-2, 300).map(str), st.sampled_from(["x", "1e3"]))
+
+header_values = (st.none() | st.booleans() | st.integers(-2, 6) | st.floats()
+                 | st.text(max_size=4) | st.lists(st.integers(-1, 4) | st.booleans(), max_size=4)
+                 | st.dictionaries(st.text(max_size=3), st.integers(0, 3), max_size=2))
+DELETE = object()
+
+odd_pnm_tokens = st.sampled_from([b"-1", b"0", b"256", b"65535", b"x", b"1e3", b"+5", b"0x10",
+                                  b"1_0", "\u0663".encode()])
+pnm_separators = mostly(st.sampled_from([b" ", b"\n"]),
+                        st.sampled_from([b"\t", b"\r\n", b"\n# note\n", b"#", b""]))
+PIXELS = bytes(np.random.default_rng(40).integers(0, 256, 12 * 12 * 3 + 8, np.uint8))
+
+fuzz = settings(max_examples=150, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _assert_clean_exit(code, out, err):
+    """Exit 0 with no error, or 1/2 with one ``gridseg:`` line and no output."""
+    assert code in (0, 1, 2)
+    if code == 0:
+        json.loads(out)
+    else:
+        assert out == "" and err.count("\n") == 1 and err.startswith("gridseg: "), err
+
+
+def _key_paths(node, path=()):
+    """Every key path into a JSON document, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _key_paths(child, path + (key,))
+
+
+class TestFuzz:
+    @pytest.fixture
+    def checkpoint(self, tmp_path):
+        """Path of a small untrained checkpoint; writes a valid 8x8 image beside it."""
+        spec = GridSpec(2, symmetric_columns(1, 1), base_channels=2, num_classes=3)
+        model = build_grid(spec, (8, 8), seed=1)
+        path = tmp_path / "m.grdn"
+        save_checkpoint(str(path), model, make_optimizer(model, TrainConfig(epochs=1)),
+                        train_seed=1, epochs_done=0)
+        write_ppm(str(tmp_path / "in.ppm"), generate_scene(5, width=8, height=8).image)
+        return path
+
+    @fuzz
+    @given(doc=config_documents, side=input_sizes)
+    def test_report_on_any_config(self, capsys, tmp_path, doc, side):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        argv = [] if side is None else ["--input-size", side]
+        _assert_clean_exit(*run(capsys, "report", "--config", str(path), *argv))
+
+    @fuzz
+    @given(draw=st.data())
+    def test_infer_on_any_checkpoint_header(self, capsys, tmp_path, checkpoint, draw):
+        raw = checkpoint.read_bytes()
+        header_len = int.from_bytes(raw[8:16], "little")
+        header = json.loads(raw[16:16 + header_len])
+        # a top-level key first, so the long parameter table does not crowd out the rest
+        paths = {key: [(key,), *_key_paths(value, (key,))] if isinstance(value, (dict, list))
+                 else [(key,)] for key, value in header.items()}
+        for _ in range(draw.draw(st.integers(1, 3))):
+            key_path = draw.draw(st.sampled_from(sorted(paths)).flatmap(
+                lambda key: st.sampled_from(paths[key])))
+            value = draw.draw(mostly(header_values, st.just(DELETE)))
+            try:
+                parent = header
+                for key in key_path[:-1]:
+                    parent = parent[key]
+                if value is DELETE:
+                    del parent[key_path[-1]]
+                else:
+                    parent[key_path[-1]] = value
+            except (KeyError, IndexError, TypeError):
+                continue  # an earlier edit removed or replaced this path
+        blob = json.dumps(header).encode()
+        path = tmp_path / "edited.grdn"
+        path.write_bytes(raw[:8] + len(blob).to_bytes(8, "little") + blob
+                         + raw[16 + header_len:])
+        _assert_clean_exit(*run(capsys, "infer", "--checkpoint", str(path),
+                                "--image", str(tmp_path / "in.ppm"),
+                                "--out", str(tmp_path / "out.pgm")))
+
+    @fuzz
+    @given(draw=st.data())
+    def test_infer_on_any_netpbm_header(self, capsys, tmp_path, checkpoint, draw):
+        magic = draw.draw(mostly(st.just(b"P6"), st.sampled_from([b"P5", b"P3", b"P", b""])))
+        w, h = (draw.draw(st.integers(1, 12)) for _ in range(2))
+        tokens = [draw.draw(mostly(st.just(v), odd_pnm_tokens))
+                  for v in (str(w).encode(), str(h).encode(), b"255")]
+        tokens = tokens[:draw.draw(mostly(st.just(3), st.integers(0, 2)))]
+        header = b"".join(draw.draw(pnm_separators) + t for t in tokens)
+        n_pixels = draw.draw(mostly(st.integers(-2, 2).map(lambda d: max(w * h * 3 + d, 0)),
+                                    st.integers(0, len(PIXELS))))
+        image = tmp_path / "fuzz.ppm"
+        image.write_bytes(magic + header + draw.draw(pnm_separators) + PIXELS[:n_pixels])
+        color = ["--color", str(tmp_path / "out.ppm")] if draw.draw(st.booleans()) else []
+        _assert_clean_exit(*run(capsys, "infer", "--checkpoint", str(checkpoint),
+                                "--image", str(image), "--out", str(tmp_path / "out.pgm"),
+                                *color))

@@ -123,6 +123,25 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="section 'augment': " + message):
             RunConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("doc", [
+        {"grid": {"num_classes": 10}},
+        {"data": {"max_shapes": 2}},
+        {"data": {"max_shapes": 256}},
+        {"grid": {"num_classes": 300}, "data": {"max_shapes": 255}},
+    ])
+    def test_max_shapes_checked_against_num_classes(self, doc):
+        classes = doc.get("grid", {}).get("num_classes", 4)
+        shapes = doc.get("data", {}).get("max_shapes", 8)
+        with pytest.raises(ConfigError, match=rf"^data.max_shapes {shapes} does not fit "
+                                              rf"grid.num_classes {classes}: "):
+            RunConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("classes, shapes", [(4, 3), (10, 9), (256, 255), (2, 255)])
+    def test_max_shapes_range_edges_accepted(self, classes, shapes):
+        cfg = RunConfig.from_dict({"grid": {"num_classes": classes},
+                                   "data": {"max_shapes": shapes}})
+        assert (cfg.grid.num_classes, cfg.data.max_shapes) == (classes, shapes)
+
     @pytest.mark.parametrize("grid, message", [
         ({"n_streams": 1, "mask": "u_net"}, "mask preset 'u_net' needs at least two streams"),
         ({"column_kinds": ["sub", "up", "sub", "up"], "mask": "conv_deconv"},

@@ -1,6 +1,7 @@
 """Metric oracles: set-based IoU, hand-worked instance weighting, voting."""
 
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -247,8 +248,9 @@ class TestMultiscale:
         with pytest.warns(RuntimeWarning, match="minimum side"):
             pred = multiscale_predict(model, image, scales=(1.0, 0.1))
         assert pred.shape == (16, 16)
-        with pytest.raises(ValueError, match="every scale"):
-            with pytest.warns(RuntimeWarning):
+        with warnings.catch_warnings():  # a failing call raises without warning first
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="every scale"):
                 multiscale_predict(model, image, scales=(0.1,))
 
 

@@ -1,5 +1,7 @@
 """Forward-op tests against brute-force oracles and frozen hand values."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -25,6 +27,11 @@ from gridseg import (
 from gridseg.config import RunConfig
 from gridseg.data import AugmentConfig, generate_dataset
 from gridseg.train import TrainConfig, make_optimizer, train_epoch
+
+
+DESK = RunConfig().grid
+CONCAT = GridSpec(3, symmetric_columns(1, 1), base_channels=4, num_classes=4,
+                  fusion="concat", vertical_residual=True)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +460,35 @@ class TestTape:
         with pytest.raises(ValueError, match="scalar"):
             backward(Tape(), Tensor(np.zeros((1, 1, 1, 1))))
 
+    @pytest.mark.parametrize("spec", [DESK, CONCAT], ids=["desk", "concat"])
+    def test_backward_frees_each_activation_before_the_tape_ends(self, spec):
+        """A probe recorded first runs last in backward; by then every traced
+        activation of the grid is dead, and the spent tape holds no closure."""
+        model = build_grid(spec, (16, 16), seed=6, dtype=np.float64)
+        rng = np.random.default_rng(36)
+        tape = Tape()
+        probed = []
+
+        def probe():
+            alive = [key for key, ref in refs.items() if ref() is not None]
+            assert not alive, f"activations alive when backward ends: {alive}"
+            probed.append(True)
+
+        tape.record(probe)
+        trace = {}
+        logits = model.forward(rng.normal(size=(2, 3, 16, 16)), training=True, tape=tape,
+                               trace=trace)
+        loss = softmax_cross_entropy(logits, rng.integers(0, 4, (2, 16, 16)), tape=tape)
+        refs = {key: weakref.ref(t.data) for key, t in trace.items()}
+        assert len(refs) == len(model.plan) + 2
+        del trace, logits
+        backward(tape, loss)
+        assert probed == [True]
+        assert tape._nodes == []
+        assert all(p.grad is not None for _, p in model.named_parameters())
+        with pytest.raises(RuntimeError, match="consumed"):
+            backward(tape, loss)
+
     def test_disconnected_tensor_keeps_zero_grad(self):
         x = Tensor(np.ones((1, 2, 2, 2)), requires_grad=True)
         unused = Tensor(np.ones((1, 2, 2, 2)), requires_grad=True)
@@ -563,11 +599,6 @@ def _train_one_step(spec):
     rec = train_epoch(model, optim, scenes, AugmentConfig(16, 24, 16), cfg, seed=5, epoch=0)
     assert rec["steps"] == 1
     return model, optim
-
-
-DESK = RunConfig().grid
-CONCAT = GridSpec(3, symmetric_columns(1, 1), base_channels=4, num_classes=4,
-                  fusion="concat", vertical_residual=True)
 
 
 class TestGradientSlots:
