@@ -4,7 +4,8 @@ Parsing is strict: any key that does not correspond to a dataclass field
 is rejected with the section it appeared in, so typos fail fast instead
 of silently falling back to defaults, and every value must fit its
 field's annotation (an int field takes no float or bool, a float field
-takes ints but no infinity or NaN). ``grid.image_channels`` must be 3,
+takes ints but no infinity or NaN). ``eval.scales`` lie in (0,
+``EvalConfig.MAX_SCALE``]. ``grid.image_channels`` must be 3,
 since scenes and images are RGB; ``eval.categories`` must put each of
 the grid's classes in exactly one category, ``augment.out_size`` must
 reach the grid's minimum input side, ``augment.crop_min`` must fit
@@ -52,12 +53,20 @@ class EvalConfig:
     scales: tuple[float, ...] = (1.0,)
     categories: dict[str, list[int]] | None = None
 
+    # a class attribute, not a field. The forward at scale s costs s**2 times
+    # the memory and time of one at 1, so the cap keeps a typo such as 1000
+    # from asking a 64x64 scene for a 64000x64000 forward
+    MAX_SCALE = 8.0
+
     def __post_init__(self):
         object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
         if not self.scales:
             raise ValueError("eval.scales must not be empty")
         if min(self.scales) <= 0:
             raise ValueError(f"eval.scales must be positive, got {list(self.scales)}")
+        if max(self.scales) > self.MAX_SCALE:
+            raise ValueError(f"eval.scales must be at most {self.MAX_SCALE:g}, "
+                             f"got {list(self.scales)}")
 
 
 def _default_grid() -> GridSpec:

@@ -17,6 +17,7 @@ and lets the scales vote per pixel; ties go to the lowest class id.
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
@@ -74,11 +75,25 @@ def _mean_present(vals: np.ndarray) -> float:
 
 
 def _instances(truth, instances, num_classes: int, ignore_label: int):
-    """Yield (non-ignored pixel mask, majority class) per instance id > 0."""
+    """One instance-by-class table of the non-ignored instance pixels.
+
+    Returns (majority class, pixel count) per table row, each pixel's row
+    and the mask of those pixels. Rows follow ascending instance id, and a
+    row with no pixels stands for an id that does not occur; majority ties
+    go to the lowest class id. Ids index the rows directly unless they run
+    past the pixel count, when they are first renumbered densely in order.
+    """
     inside = (truth != ignore_label) & (instances > 0)
-    for inst in np.unique(instances[inside]):
-        where = inside & (instances == inst)
-        yield where, int(np.bincount(truth[where], minlength=num_classes).argmax())
+    row = instances[inside]
+    if row.size and row.max() > row.size:
+        row = np.unique(row, return_inverse=True)[1]
+    t = truth[inside].astype(np.int64)
+    if t.size and (t.min() < 0 or t.max() >= num_classes):
+        raise ValueError("truth labels outside [0, num_classes)")
+    rows = int(row.max()) + 1 if row.size else 0
+    table = np.bincount(row * num_classes + t, minlength=rows * num_classes)
+    table = table.reshape(rows, num_classes)
+    return table.argmax(1), table.sum(1), row, inside
 
 
 def instance_average_sizes(scenes: list[Scene], num_classes: int,
@@ -87,10 +102,10 @@ def instance_average_sizes(scenes: list[Scene], num_classes: int,
     pixels = np.zeros(num_classes, np.int64)
     counts = np.zeros(num_classes, np.int64)
     for scene in scenes:
-        for where, cls in _instances(scene.labels, scene.instances, num_classes,
-                                     ignore_label):
-            pixels[cls] += int(where.sum())
-            counts[cls] += 1
+        cls, size, _, _ = _instances(scene.labels, scene.instances, num_classes, ignore_label)
+        present = size > 0
+        pixels += np.bincount(cls[present], size[present], num_classes).astype(np.int64)
+        counts += np.bincount(cls[present], minlength=num_classes)
     return np.divide(pixels, counts, out=np.full(num_classes, np.nan), where=counts > 0)
 
 
@@ -110,14 +125,21 @@ class InstanceScore:
                pred: np.ndarray) -> None:
         wrong = (truth != self.ignore_label) & (pred != truth)
         self.fp += np.bincount(pred[wrong], minlength=self.num_classes)
-        for where, cls in _instances(truth, instances, self.num_classes,
-                                     self.ignore_label):
-            if np.isnan(self.avg_sizes[cls]):
-                continue
-            w = self.avg_sizes[cls] / int(where.sum())
-            hits = int((pred[where] == cls).sum())
-            self.tp[cls] += w * hits
-            self.fn[cls] += w * (int(where.sum()) - hits)
+        cls, size, row, inside = _instances(truth, instances, self.num_classes,
+                                            self.ignore_label)
+        hits = np.bincount(row[pred[inside] == cls[row]], minlength=cls.size)
+        # one instance at a time, in id order, each sum in float64: the
+        # same roundings as ever, so reports stay bit-identical
+        avg, tp, fn = self.avg_sizes.tolist(), self.tp.tolist(), self.fn.tolist()
+        present = size > 0
+        for c, n, h in zip(cls[present].tolist(), size[present].tolist(),
+                           hits[present].tolist()):
+            if not math.isnan(avg[c]):
+                w = avg[c] / n
+                tp[c] += w * h
+                fn[c] += w * (n - h)
+        self.tp[:] = tp
+        self.fn[:] = fn
 
     def iiou(self) -> np.ndarray:
         return np.where(np.isnan(self.avg_sizes), np.nan, _ratio(self.tp, self.fp, self.fn))

@@ -33,6 +33,14 @@ the product.
 Every op states one gradient map per input, from the output gradient
 to that input's gradient, and hands them to `_result`, the one place
 where the rule for recording an op's backward on the tape is written.
+A recorded backward holds the gradient slots of its op's inputs and
+output (:class:`gridseg.tensor.GradSlot`) and, through its maps, only
+the arrays they read: a conv's or transposed conv's input, for the
+weight gradient (and the parameters, which the model holds anyway);
+batch norm's normalized input and inverse deviation; relu's output,
+whose sign gives the mask; softmax's exponentials and their sums.
+Everything else, such as a conv's output or the inputs of batch norm, add
+and concat, is freed during the forward pass once the caller drops it.
 """
 
 from __future__ import annotations
@@ -50,33 +58,45 @@ def _result(y: np.ndarray, inputs, tape: Tape | None, grads) -> Tensor:
     """``Tensor(y)`` for an op over ``inputs``, its backward recorded on ``tape``.
 
     ``grads[k]`` maps the output gradient to the gradient of ``inputs[k]``;
-    ops pass ``tape and (...)``, so an untaped call builds no maps. Nothing
+    ops pass ``tape and (...)``, so an untaped call builds no maps, and its
+    output takes no gradient: no recorded op could carry one through it. Nothing
     runs when the output got no gradient, and the maps run in input order,
     each only for an input that needs a gradient. An empty gradient slot
     keeps its first contribution as its own array (see
     :meth:`Tensor.accumulate_grad`), so maps that share an array read it
     before the slot that keeps it, and only the first input handed the
     output gradient itself (`add`) may keep it: no two slots share an array.
+
+    The recorded closure holds the inputs' and the output's gradient slots,
+    not the tensors, so it keeps ``y`` and the inputs' values alive only
+    where a map reads them; maps must read arrays, not the tensors of
+    ``inputs`` (a parameter tensor, held by its model anyway, is the
+    exception).
     """
     out = Tensor(y)
-    for t in inputs:  # a loop, not any(): no generator on the untaped path
-        if t.requires_grad:
-            out.requires_grad = True
+    if tape is None:  # nothing is recorded that could carry a gradient through out
+        return out
+    slot = out.slot
+    for t in inputs:
+        if t.slot.requires_grad:
+            slot.requires_grad = True
             break
-    if tape is not None and out.requires_grad:
+    if slot.requires_grad:
+        slots = [t.slot for t in inputs]
 
         def _bwd():
-            g = out.grad
+            g = slot.grad
             if g is None:
                 return
+            accumulate = Tensor.accumulate_grad
             kept = False  # whether a slot now holds g itself
-            for t, grad in zip(inputs, grads):
-                if t.requires_grad:
+            for s, grad in zip(slots, grads):
+                if s.requires_grad:
                     d = grad(g)
-                    if d is g and kept and t.grad is None:
+                    if d is g and kept and s.grad is None:
                         d = g.copy()
-                    t.accumulate_grad(d)
-                    kept = kept or t.grad is g
+                    accumulate(s, d)
+                    kept = kept or s.grad is g
 
         tape.record(_bwd)
     return out
@@ -219,9 +239,9 @@ def _weight_grad(a: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
     return d.sum(axis=0).T.reshape(shape)
 
 
-def _transposed_grads(x: Tensor, w: Tensor, k: np.ndarray, stride: int, pad):
+def _transposed_grads(x: np.ndarray, w: Tensor, k: np.ndarray, stride: int, pad):
     """Maps for x, w and b of the transpose of correlating with kernel k
-    (w or a view of it) at ``stride`` and ``pad``.
+    (w or a view of it) at ``stride`` and ``pad``; x is the op's input array.
 
     Both gradients read one patch matrix G of the padded output gradient:
     dx is ``k @ G`` and k's gradient is the sum over n of ``x_n @ G_n^T``,
@@ -243,7 +263,7 @@ def _transposed_grads(x: Tensor, w: Tensor, k: np.ndarray, stride: int, pad):
         return np.matmul(k.reshape(k.shape[0], -1), cols).reshape(x.shape)
 
     def dk(g):
-        return _weight_grad(x.data, held.pop() if held else patches(g), k.shape)
+        return _weight_grad(x, held.pop() if held else patches(g), k.shape)
 
     return dx, dk, _bias_grad
 
@@ -294,10 +314,10 @@ def conv2d(x: Tensor, params: ConvParams, tape: Tape | None = None) -> Tensor:
     if y.shape[2] < 1 or y.shape[3] < 1:
         raise ValueError(f"conv2d output collapsed to {y.shape} from input {x.shape}")
     y += b.data.reshape(1, -1, 1, 1)
-    return _result(y, (x, w, b), tape, tape and _conv_grads(x, w, stride, pad))
+    return _result(y, (x, w, b), tape, tape and _conv_grads(x.data, w, stride, pad))
 
 
-def _conv_grads(x: Tensor, w: Tensor, stride: int, pad):
+def _conv_grads(x: np.ndarray, w: Tensor, stride: int, pad):
     """`conv2d`'s gradient maps for x, w and b: at stride 1 those of the
     transposed correlation with ``_swap(w)`` at padding k-1-p, the weight's
     swapped back; at stride 2, the stacked-phase `_adjoint_corr2d` of g and
@@ -309,7 +329,7 @@ def _conv_grads(x: Tensor, w: Tensor, stride: int, pad):
         return dx, lambda g: np.ascontiguousarray(_swap(dk(g))), db
 
     def dw(g):
-        return _weight_grad(g, _im2col(_pad2d(x.data, ph, pw), kh, kw, stride)[0], w.shape)
+        return _weight_grad(g, _im2col(_pad2d(x, ph, pw), kh, kw, stride)[0], w.shape)
 
     return lambda g: _adjoint_corr2d(g, w.data, stride, pad, x.shape[2:]), dw, _bias_grad
 
@@ -332,7 +352,8 @@ def deconv2d_up(x: Tensor, params: ConvParams, target_hw, tape: Tape | None = No
     th, tw = int(target_hw[0]), int(target_hw[1])
     y = _adjoint_corr2d(x.data, w.data, stride, pad, (th, tw))
     y += b.data.reshape(1, -1, 1, 1)
-    return _result(y, (x, w, b), tape, tape and _transposed_grads(x, w, w.data, stride, pad))
+    return _result(y, (x, w, b), tape,
+                   tape and _transposed_grads(x.data, w, w.data, stride, pad))
 
 
 # ---------------------------------------------------------------------------
@@ -428,8 +449,10 @@ def _batch_norm_grads(xhat, inv, gamma: Tensor, m: int, training: bool):
 
 
 def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
-    # the gradient at exactly 0 is 0
-    return _result(np.maximum(x.data, 0), (x,), tape, tape and (lambda g: g * (x.data > 0),))
+    # the gradient at exactly 0 is 0. y > 0 is the mask x > 0 (y is x where
+    # x > 0 and 0 or NaN elsewhere), so the map reads y and x can die
+    y = np.maximum(x.data, 0)
+    return _result(y, (x,), tape, tape and (lambda g: g * (y > 0),))
 
 
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:

@@ -15,13 +15,17 @@ slot may so hold, and later overwrite, an output gradient that a
 consumer has finished with, so after :func:`backward` only leaves
 (parameters and inputs) promise a meaningful ``grad``.
 
-Lifetime rule: :func:`backward` drops each closure as soon as it has
-run. The closures are what hold each op's inputs and output tensor, and
-so that output's gradient; an activation and its gradient are therefore
-freed once the last closure that holds them has run, unless the caller
-holds the tensor. After :func:`backward` only leaves and the tensors the
-caller still holds keep a ``grad`` at all (a meaningful one only on
-leaves, as above), and the spent tape holds no closures.
+Lifetime rule: a tensor's gradient slot (:class:`GradSlot`: ``grad``,
+``requires_grad``, shape and dtype) is an object of its own, apart from
+its ``data``. A backward closure holds the slots of its op's inputs and
+output, and of arrays only those its gradient maps read (see
+:func:`gridseg.ops._result`). Every other activation is freed during the
+forward pass once the caller drops its tensor. :func:`backward` drops
+each closure as soon as it has run, so a saved array, an output slot and
+the gradient in it are freed once the last closure that holds them has
+run. After :func:`backward` only leaves and the tensors the caller still
+holds keep a ``grad`` at all (a meaningful one only on leaves, as above),
+and the spent tape holds no closures.
 """
 
 from __future__ import annotations
@@ -29,18 +33,46 @@ from __future__ import annotations
 import numpy as np
 
 
-class Tensor:
-    """A dense array with an optional gradient slot of the same shape."""
+class GradSlot:
+    """What backward needs of a tensor besides its values: the gradient
+    slot, whether it takes a gradient, and the shape and dtype of both."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("grad", "requires_grad", "shape", "dtype")
+
+    def __init__(self, shape: tuple[int, ...], dtype, requires_grad: bool):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self.shape = shape
+        self.dtype = dtype
+
+
+class Tensor:
+    """A dense array with a gradient slot of the same shape, kept apart in ``slot``."""
+
+    __slots__ = ("data", "slot")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         if data.ndim > 0 and not data.flags["C_CONTIGUOUS"]:
             data = np.ascontiguousarray(data)
         self.data = data
-        self.grad: np.ndarray | None = None
-        self.requires_grad = bool(requires_grad)
+        self.slot = GradSlot(data.shape, data.dtype, bool(requires_grad))
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.slot.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self.slot.grad = g
+
+    @property
+    def requires_grad(self) -> bool:
+        return self.slot.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        self.slot.requires_grad = bool(flag)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -62,12 +94,16 @@ class Tensor:
         and must not let any other slot hold it. Otherwise the slot starts
         at zero in the tensor's dtype and ``g`` is added, which rounds a
         float64 contribution to a float32 tensor once.
+
+        ``self`` may also be a bare :class:`GradSlot`: backward closures
+        hold slots, not tensors, and call ``Tensor.accumulate_grad(slot,
+        g)``, so every accumulation still runs through this one method.
         """
         if self.grad is None:
-            if g.dtype == self.data.dtype and g.shape == self.data.shape and g.flags.writeable:
+            if g.dtype == self.dtype and g.shape == self.shape and g.flags.writeable:
                 self.grad = g
                 return
-            self.grad = np.zeros_like(self.data)
+            self.grad = np.zeros(self.shape, self.dtype)
         self.grad += g
 
     def zero_grad(self) -> None:
@@ -100,8 +136,8 @@ def backward(tape: Tape, loss: Tensor) -> None:
 
     Closures run in reverse recording order and each is dropped once it
     has run, freeing what only it held: its op's saved arrays, and its
-    output tensor with that tensor's gradient. Afterwards only leaves and
-    the tensors the caller still holds keep a ``grad``, and ``tape``
+    output's gradient slot with the gradient in it. Afterwards only leaves
+    and the tensors the caller still holds keep a ``grad``, and ``tape``
     holds no closures.
     """
     if tape._spent:

@@ -392,6 +392,26 @@ class TestExitCodes:
         assert "data.max_shapes 8 does not fit grid.num_classes 10" in err
         assert not (tmp_path / "m.grdn").exists()
 
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_scale_over_the_cap_is_usage_error(self, capsys, tmp_path, command, monkeypatch):
+        """Refused when the config is read: the scaled forward never runs."""
+        ckpt = str(tmp_path / "m.grdn")
+        tiny = tmp_path / "tiny.json"
+        tiny.write_text(json.dumps(TINY))
+        run(capsys, "train", "--config", str(tiny), "--checkpoint", ckpt, "--epochs", "0")
+        for name in ("evaluate_scenes", "multiscale_predict"):
+            monkeypatch.setattr(f"gridseg.cli.{name}", pytest.fail)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**TINY, "eval": {"scales": [1.0, 1000.0]}}))
+        img = str(tmp_path / "in.ppm")
+        write_ppm(img, generate_scene(97, width=16, height=16).image)
+        argv = ["--image", img, "--out", str(tmp_path / "p.pgm")] if command == "infer" else []
+        code, out, err = run(capsys, command, "--config", str(path), "--checkpoint", ckpt, *argv)
+        assert code == 1 and out == ""
+        assert err == (f"gridseg: section 'eval': eval.scales must be at most "
+                       f"{EvalConfig.MAX_SCALE:g}, got [1.0, 1000.0]\n")
+        assert not (tmp_path / "p.pgm").exists()
+
     @pytest.mark.parametrize("command", ["train", "report"])
     def test_unbuildable_mask_preset_is_usage_error(self, capsys, tmp_path, command):
         path = tmp_path / "run.json"

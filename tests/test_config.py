@@ -1,6 +1,7 @@
 """Strict run-configuration parsing tests."""
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -81,6 +82,15 @@ class TestRunConfig:
             RunConfig.from_dict({"eval": {"scales": [-1]}})
         with pytest.raises(ConfigError, match="'eval'.*positive"):
             RunConfig.from_dict({"eval": {"scales": [1.0, 0]}})
+
+    def test_eval_scale_capped(self):
+        cap = EvalConfig.MAX_SCALE
+        assert RunConfig.from_dict({"eval": {"scales": [0.5, cap]}}).eval.scales == (0.5, cap)
+        with pytest.raises(ConfigError, match=rf"^section 'eval': eval.scales must be at most "
+                                              rf"{cap:g}, got \[1.0, 1000.0\]$"):
+            RunConfig.from_dict({"eval": {"scales": [1, 1000]}})
+        with pytest.raises(ConfigError, match="at most"):
+            RunConfig.from_dict({"eval": {"scales": [math.nextafter(cap, math.inf)]}})
 
     @pytest.mark.parametrize("doc", [
         {"eval": {"scales": [10**400]}}, {"train": {"lr": float("nan")}},

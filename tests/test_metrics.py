@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridseg import GridSpec, build_grid, symmetric_columns
 from gridseg.data import Scene, generate_dataset
@@ -183,6 +185,66 @@ class TestInstanceScores:
         score = InstanceScore(2, instance_average_sizes([scene_of(labels)], 2))
         score.update(labels, np.zeros((4, 4), np.int32), labels)
         assert np.isnan(score.iiou()).all()
+
+
+def _per_instance_masks(truth, instances, pred, avg_sizes, tp, fn, ignore=255):
+    """Reference: a full-image mask per instance id, walked in ascending id
+    order, adding into tp and fn; returns the (majority class, size) pairs."""
+    num_classes = tp.size
+    inside = (truth != ignore) & (instances > 0)
+    found = []
+    for inst in np.unique(instances[inside]):
+        where = inside & (instances == inst)
+        cls = int(np.bincount(truth[where], minlength=num_classes).argmax())
+        found.append((cls, int(where.sum())))
+        if not np.isnan(avg_sizes[cls]):
+            w = avg_sizes[cls] / int(where.sum())
+            hits = int((pred[where] == cls).sum())
+            tp[cls] += w * hits
+            fn[cls] += w * (int(where.sum()) - hits)
+    return found
+
+
+@st.composite
+def labelled_scenes(draw):
+    """(num_classes, [(truth, instances, pred)]) with ignored pixels, tied
+    majorities and instance ids that skip values."""
+    num_classes = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    images = []
+    for _ in range(draw(st.integers(1, 3))):
+        h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+        truth = rng.integers(0, num_classes, (h, w))
+        truth[rng.random((h, w)) < draw(st.sampled_from([0.0, 0.2]))] = 255
+        ids = rng.choice(draw(st.integers(1, 300)), size=draw(st.integers(1, 6)))
+        images.append((truth, rng.choice(ids, size=(h, w)),
+                       rng.integers(0, num_classes, (h, w))))
+    return num_classes, images
+
+
+class TestInstanceTable:
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_scenes())
+    def test_bit_equal_to_per_instance_masks(self, case):
+        num_classes, images = case
+        scenes = [Scene(np.zeros((*t.shape, 3)), t, i, 0) for t, i, _ in images]
+        avg = instance_average_sizes(scenes, num_classes)
+        got = InstanceScore(num_classes, avg)
+        tp, fn = np.zeros(num_classes), np.zeros(num_classes)
+        pixels, counts = np.zeros(num_classes, np.int64), np.zeros(num_classes, np.int64)
+        for truth, instances, pred in images:
+            for cls, size in _per_instance_masks(truth, instances, pred, avg, tp, fn):
+                pixels[cls] += size
+                counts[cls] += 1
+            got.update(truth, instances, pred)
+        want = np.divide(pixels, counts, out=np.full(num_classes, np.nan), where=counts > 0)
+        assert avg.tobytes() == want.tobytes()
+        assert got.tp.tobytes() == tp.tobytes() and got.fn.tobytes() == fn.tobytes()
+
+    def test_truth_label_outside_the_classes_rejected(self):
+        scene = Scene(np.zeros((1, 2, 3)), np.array([[0, 4]]), np.ones((1, 2), int), 0)
+        with pytest.raises(ValueError, match="outside"):
+            instance_average_sizes([scene], 4)
 
 
 class TestCategories:

@@ -355,6 +355,22 @@ class TestElementwise:
         out = relu(Tensor(x)).data
         assert np.array_equal(out, [[[[0.0, 0.0], [3.5, 0.0]]]])
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]) | st.floats(),
+                    min_size=1, max_size=12),
+           st.sampled_from([np.float32, np.float64]), st.integers(0, 2**32 - 1))
+    def test_gradient_is_g_times_the_input_sign(self, values, dtype, seed):
+        """relu's map reads its output: y > 0 must be x > 0 on every input,
+        signed zeros, infinities and NaN included."""
+        with np.errstate(over="ignore"):
+            x = Tensor(np.array(values, dtype).reshape(1, 1, 1, -1), requires_grad=True)
+        g = np.random.default_rng(seed).normal(size=x.shape).astype(dtype)
+        tape = Tape()
+        out = relu(x, tape)
+        out.grad = g.copy()
+        tape._nodes[-1]()
+        assert x.grad.tobytes() == (g * (x.data > 0)).tobytes()
+
     def test_add_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             add(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 2, 3))))
@@ -489,6 +505,38 @@ class TestTape:
         with pytest.raises(RuntimeError, match="consumed"):
             backward(tape, loss)
 
+    @pytest.mark.parametrize("spec", [DESK, CONCAT], ids=["desk", "concat"])
+    def test_forward_keeps_only_what_a_backward_map_reads(self, spec):
+        """Once forward returns and the caller drops its trace, a block output
+        lives on only if a conv reads it (the conv's weight gradient needs
+        it): the head's input and, under vertical_residual, the input of each
+        shortcut conv. Block outputs that only batch norm, add or concat read
+        are already dead, and so are the logits once the loss is taken."""
+        model = build_grid(spec, (16, 16), seed=6, dtype=np.float64)
+        rng = np.random.default_rng(37)
+        tape = Tape()
+        trace = {}
+        logits = model.forward(rng.normal(size=(2, 3, 16, 16)), training=True, tape=tape,
+                               trace=trace)
+        refs = {key: weakref.ref(t.data) for key, t in trace.items()}
+        del trace
+        # the traced value each stream holds, walked in the forward's order
+        latest, conv_read = {0: "stem"}, set()
+        for block in model.plan:
+            if block.src is not None and spec.vertical_residual:
+                conv_read.add(latest[block.src])
+            latest[block.row] = (block.row, block.col)
+        conv_read |= {latest[0], "logits"}  # the head's input; the caller holds logits
+        alive = {key for key, ref in refs.items() if ref() is not None}
+        assert alive == conv_read
+        assert len(alive) < len(refs)
+        assert (len(conv_read) > 2) == spec.vertical_residual
+        loss = softmax_cross_entropy(logits, rng.integers(0, 4, (2, 16, 16)), tape=tape)
+        del logits
+        assert refs["logits"]() is None
+        backward(tape, loss)
+        assert all(p.grad is not None for _, p in model.named_parameters())
+
     def test_disconnected_tensor_keeps_zero_grad(self):
         x = Tensor(np.ones((1, 2, 2, 2)), requires_grad=True)
         unused = Tensor(np.ones((1, 2, 2, 2)), requires_grad=True)
@@ -556,6 +604,12 @@ class TestRecordingRule:
             assert params.weight.grad is not None and params.bias.grad is not None
         assert wrapped == [conv.weight, up.weight]
 
+    def test_untaped_output_takes_no_gradient(self):
+        """Nothing recorded could carry a gradient through an untaped output."""
+        x = Tensor(np.ones((1, 1, 2, 2)), requires_grad=True)
+        assert not relu(x).requires_grad
+        assert relu(x, Tape()).requires_grad
+
     def test_output_without_grad_leaves_inputs_untouched(self):
         """Ops whose outputs feed no loss leave every input's grad at None,
         while the loss branch recorded on the same tape still propagates."""
@@ -583,9 +637,10 @@ def _loss_grad(y, labels):
 
 
 def _zero_fill_accumulate_grad(self, g):
-    """Reference slot rule: every slot starts at zero and adds each contribution."""
+    """Reference slot rule: every slot starts at zero and adds each contribution.
+    ``self`` is a tensor or, from a backward closure, a bare gradient slot."""
     if self.grad is None:
-        self.grad = np.zeros_like(self.data)
+        self.grad = np.zeros(self.shape, self.dtype)
     self.grad += g
 
 
