@@ -1,9 +1,17 @@
 """Differentiable operations on 4-D tensors.
 
-Convolutions are lowered to a single matrix product over patches
-extracted with zero-copy striding. The reduction order inside that
-product is fixed at (channel, kernel row, kernel col), so forward
-results are bit-deterministic for identical inputs on the same machine.
+Convolutions are lowered to matrix products over patch matrices, one
+sample at a time: `_unfold` copies each sample's (c*kh*kw, oh*ow) patch
+matrix in turn into one buffer, allocated per call, and `_patch_products`
+takes that sample's products from it while it is in cache. The view
+rule: where the strided window view reshapes without a copy (1x1 kernels
+at stride 1, single-row or single-column outputs), or the batch holds one
+sample, the whole batch is unfolded at once. Each product thus reads the
+operand, view or contiguous copy, that one ``np.matmul`` over the whole
+batch's reshape hands BLAS for that sample, and gives its bits. The
+reduction order inside each product is fixed at (channel, kernel row,
+kernel col), so forward results are bit-deterministic for identical
+inputs on the same machine.
 
 The transposed convolution is implemented as the adjoint of the matching
 strided convolution, split by output phase: output rows and columns
@@ -25,10 +33,11 @@ A stride-1 convolution with kernel w and padding p is the transpose of
 the correlation with ``_swap(w)`` (w flipped and channel-swapped) at
 padding k-1-p (Dumoulin & Visin, arXiv 1603.07285), so it shares the
 transposed convolution's backward, `_transposed_grads`: both gradients
-come from one patch matrix of the output gradient, which lives only
-while the op's backward runs, and no input is unfolded. Every weight
-gradient is taken by `_weight_grad` with the patch matrix on the left of
-the product.
+come from one pass over the patch matrices of the output gradient, and
+no input is unfolded. Every weight gradient is a sum over samples taken
+with the patch matrix on the left of each product, as the transpose of
+the sum of ``P_n @ a_n^T``: the products of ``a_n @ P_n^T`` added in the
+same order, which OpenBLAS runs up to twice as fast.
 
 Every op states one gradient map per input, from the output gradient
 to that input's gradient, and hands them to `_result`, the one place
@@ -125,28 +134,70 @@ def _pad2d(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return _window(x, -ph, x.shape[2] + ph, -pw, x.shape[3] + pw)
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int):
-    """(n, c, h, w) -> (n, c*kh*kw, oh*ow) patch matrix, plus (oh, ow)."""
-    n, c, h, w = x.shape
-    oh = (h - kh) // stride + 1
-    ow = (w - kw) // stride + 1
-    sn, sc, sr, scl = x.strides
-    view = as_strided(
-        x,
-        (n, c, kh, kw, oh, ow),
-        (sn, sc, sr, scl, sr * stride, scl * stride),
-        writeable=False,
-    )
-    return view.reshape(n, c * kh * kw, oh * ow), oh, ow
+def _unfold(a: np.ndarray, kh: int, kw: int, stride: int):
+    """oh, ow and the (c*kh*kw, oh*ow) patch matrices of a (n,c,h,w) for
+    a kh x kw kernel at ``stride``: one (n, K, L) array where the window
+    view reshapes without a copy or n is 1, else an iterator that copies
+    each sample's matrix in turn into one buffer, allocated per call, and
+    yields it (the view rule of the module docstring)."""
+    n, c, h, w = a.shape
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    sn, sc, sr, scl = a.strides
+    view = as_strided(a, (n, c, kh, kw, oh, ow),
+                      (sn, sc, sr, scl, sr * stride, scl * stride), writeable=False)
+    shape = (n, c * kh * kw, oh * ow)
+    if n == 1:
+        return oh, ow, view.reshape(shape)
+    try:
+        return oh, ow, view.reshape(shape, copy=False)
+    except ValueError:  # the reshape would copy the whole batch
+        return oh, ow, _samples(view, shape[1:])
+
+
+def _samples(view: np.ndarray, shape):
+    buf = np.empty(shape, view.dtype)
+    fill = buf.reshape(view.shape[1:])
+    for v in view:
+        fill[...] = v
+        yield buf
+
+
+def _patch_products(a: np.ndarray, kh: int, kw: int, stride: int, left=None, right=None):
+    """``left @ P_i`` for the patch matrices P_i of a (`_unfold`), as
+    (n, m, oh, ow) for left (m, K); and the sum over i of ``P_i @ right_i^T``,
+    as (K, r) for right (n, r, ...) flattening to (n, r, L): each term in
+    its slot of an (n, K, r) array, summed in sample order. Both read P_i
+    while it is in cache; a product whose operand is None is None."""
+    n = a.shape[0]
+    oh, ow, cols = _unfold(a, kh, kw, stride)
+    if right is not None:
+        right = right.reshape(n, right.shape[1], -1).swapaxes(1, 2)
+    if isinstance(cols, np.ndarray):  # the whole batch: one batched product each
+        y = None if left is None else np.matmul(left, cols)
+        d = None if right is None else np.matmul(cols, right)
+    else:
+        y = None if left is None else np.empty((n, left.shape[0], oh * ow),
+                                                np.result_type(left, a))
+        d = None if right is None else np.empty((n, a.shape[1] * kh * kw, right.shape[2]),
+                                                 np.result_type(a, right))
+        for i, p in enumerate(cols):
+            if y is not None:
+                np.matmul(left, p, out=y[i])
+            if d is not None:
+                np.matmul(p, right[i], out=d[i])
+    return (None if y is None else y.reshape(n, -1, oh, ow),
+            None if d is None else d.sum(axis=0))
 
 
 def _corr2d(x: np.ndarray, w: np.ndarray, stride: int, padding) -> np.ndarray:
-    """Cross-correlate x (n,ci,h,w) with w (co,ci,kh,kw) -> (n,co,oh,ow)."""
+    """Cross-correlate x (n,ci,h,w) with w (co,ci,kh,kw) -> (n,co,oh,ow):
+    per sample, one patch matrix of the padded x and one matrix product."""
     co, ci, kh, kw = w.shape
-    xp = _pad2d(x, padding[0], padding[1])
-    cols, oh, ow = _im2col(xp, kh, kw, stride)
-    out = np.matmul(w.reshape(co, ci * kh * kw), cols)
-    return out.reshape(x.shape[0], co, oh, ow)
+    xp = _pad2d(x, *padding)
+    if x.shape[0] == 1:  # one sample, as every eval forward: one unfold, one product
+        oh, ow, cols = _unfold(xp, kh, kw, stride)
+        return np.matmul(w.reshape(co, -1), cols).reshape(1, co, oh, ow)
+    return _patch_products(xp, kh, kw, stride, w.reshape(co, -1))[0]
 
 
 def _live_phases(n_out: int, k: int, stride: int, pad: int):
@@ -227,43 +278,30 @@ def _bias_grad(g: np.ndarray) -> np.ndarray:
     return g.sum(axis=(0, 2, 3))
 
 
-def _weight_grad(a: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
-    """The sum over n of ``a_n @ cols_n^T``, reshaped to ``shape``, for a
-    (n,m,...) and patch matrices cols (n,K,L), where a_n flattens to (m,L).
-
-    Taken as the transpose of the sum of ``cols_n @ a_n^T``: each entry is
-    the same products added in the same order, and OpenBLAS runs the
-    product up to twice as fast with the long patch matrix on the left.
-    """
-    d = np.matmul(cols, a.reshape(*a.shape[:2], -1).transpose(0, 2, 1))
-    return d.sum(axis=0).T.reshape(shape)
-
-
 def _transposed_grads(x: np.ndarray, w: Tensor, k: np.ndarray, stride: int, pad):
     """Maps for x, w and b of the transpose of correlating with kernel k
     (w or a view of it) at ``stride`` and ``pad``; x is the op's input array.
 
-    Both gradients read one patch matrix G of the padded output gradient:
-    dx is ``k @ G`` and k's gradient is the sum over n of ``x_n @ G_n^T``,
-    taken by `_weight_grad` as the transpose of the sum of ``G_n @ x_n^T``.
-    The x map runs first (`_result` runs maps in input order) and keeps G
-    only when w takes a gradient; the w map takes it or else builds it, so
-    G is built once and gone when the op's backward returns.
+    Both gradients read the patch matrices G_n of the padded output
+    gradient: dx_n is ``k @ G_n`` and k's gradient the sum over n of
+    ``x_n @ G_n^T``, taken as the transpose of the sum of ``G_n @ x_n^T``.
+    The x map runs first (`_result` runs maps in input order) and, when w
+    takes a gradient, takes both from each G_n in one `_patch_products`
+    and keeps k's; the w map takes that or else unfolds g itself, so g is
+    unfolded once and no G_n outlives the op's backward.
     """
     kh, kw = k.shape[2:]
     held = []
 
-    def patches(g):
-        return _im2col(_pad2d(g, *pad), kh, kw, stride)[0]
-
     def dx(g):
-        cols = patches(g)
-        if w.requires_grad:
-            held.append(cols)
-        return np.matmul(k.reshape(k.shape[0], -1), cols).reshape(x.shape)
+        d, dk = _patch_products(_pad2d(g, *pad), kh, kw, stride, k.reshape(k.shape[0], -1),
+                                x if w.requires_grad else None)
+        held.append(dk)  # None where w takes no gradient, so the w map never runs
+        return d
 
     def dk(g):
-        return _weight_grad(x, held.pop() if held else patches(g), k.shape)
+        d = held.pop() if held else _patch_products(_pad2d(g, *pad), kh, kw, stride, right=x)[1]
+        return d.T.reshape(k.shape)
 
     return dx, dk, _bias_grad
 
@@ -321,7 +359,8 @@ def _conv_grads(x: np.ndarray, w: Tensor, stride: int, pad):
     """`conv2d`'s gradient maps for x, w and b: at stride 1 those of the
     transposed correlation with ``_swap(w)`` at padding k-1-p, the weight's
     swapped back; at stride 2, the stacked-phase `_adjoint_corr2d` of g and
-    the `_weight_grad` of g against the patch matrix of the padded x."""
+    the weight gradient of g against the patch matrices of the padded x,
+    one sample at a time (`_patch_products`)."""
     kh, kw = w.shape[2:]
     ph, pw = pad
     if stride == 1:
@@ -329,7 +368,7 @@ def _conv_grads(x: np.ndarray, w: Tensor, stride: int, pad):
         return dx, lambda g: np.ascontiguousarray(_swap(dk(g))), db
 
     def dw(g):
-        return _weight_grad(g, _im2col(_pad2d(x, ph, pw), kh, kw, stride)[0], w.shape)
+        return _patch_products(_pad2d(x, ph, pw), kh, kw, stride, right=g)[1].T.reshape(w.shape)
 
     return lambda g: _adjoint_corr2d(g, w.data, stride, pad, x.shape[2:]), dw, _bias_grad
 

@@ -1,19 +1,22 @@
 """Property tests of the stacked-phase adjoint correlation behind every
 transposed convolution and every stride-2 convolution input gradient, of
 the transposed-correlation identity behind the stride-1 conv backward, of
-the conv gradients that share one patch matrix of the output gradient, and
-of the weight gradients taken with the patch matrix on the left."""
+the conv gradients that share one patch matrix of the output gradient, of
+the weight gradients taken with the patch matrix on the left, and of the
+lowering that builds one sample's patch matrix at a time."""
 
+import tracemalloc
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from gridseg import ConvParams, Tape, Tensor, backward, conv2d, deconv2d_up, ops
-from gridseg.ops import _adjoint_corr2d, _corr2d, _result, _swap, _window
+from gridseg.ops import _adjoint_corr2d, _corr2d, _pad2d, _result, _swap, _window
 
 
 def adjoint_zero_insert(x, w, stride, padding, out_hw):
@@ -70,9 +73,9 @@ def adjoint_per_phase(x, w, stride, padding, out_hw):
 
 
 @st.composite
-def adjoint_cases(draw):
-    """Conv geometry plus a deconv input x and the conv input size it
-    maps back to; stride 2 draws both output paddings."""
+def adjoint_cases(draw, max_n=3):
+    """Conv geometry plus a deconv input x of up to max_n samples and the
+    conv input size it maps back to; stride 2 draws both output paddings."""
     k = draw(st.sampled_from([1, 3]))
     stride = draw(st.sampled_from([1, 2]))
     pad = (draw(st.integers(0, k - 1)), draw(st.integers(0, k - 1)))
@@ -80,7 +83,7 @@ def adjoint_cases(draw):
     opad = (draw(st.integers(0, stride - 1)), draw(st.integers(0, stride - 1)))
     out_hw = tuple((s - 1) * stride - 2 * p + k + o for s, p, o in zip(side, pad, opad))
     assume(min(out_hw) >= 1)
-    n = draw(st.integers(1, 3))
+    n = draw(st.integers(1, max_n))
     co, ci = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -130,14 +133,14 @@ def test_stacked_phases_bitwise_equal_per_phase_loop(case, dtype):
 @pytest.mark.parametrize("up", [False, True])
 def test_adjoint_unfolds_its_input_once(monkeypatch, up):
     """A deconv forward and a stride-2 conv's input gradient each run one
-    `_adjoint_corr2d`, which builds one patch matrix for all phases."""
-    real_im2col, real_adjoint = ops._im2col, ops._adjoint_corr2d
+    `_adjoint_corr2d`, which unfolds its window of x once for all phases."""
+    real_unfold, real_adjoint = ops._unfold, ops._adjoint_corr2d
     open_calls, per_call = [], []
 
-    def im2col(*args):
+    def unfold(*args):
         if open_calls:
             open_calls[-1] += 1
-        return real_im2col(*args)
+        return real_unfold(*args)
 
     def adjoint(*args):
         open_calls.append(0)
@@ -146,7 +149,7 @@ def test_adjoint_unfolds_its_input_once(monkeypatch, up):
         finally:
             per_call.append(open_calls.pop())
 
-    monkeypatch.setattr(ops, "_im2col", im2col)
+    monkeypatch.setattr(ops, "_unfold", unfold)
     monkeypatch.setattr(ops, "_adjoint_corr2d", adjoint)
     rng = np.random.default_rng(8)
     w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
@@ -301,8 +304,8 @@ def test_input_grad_is_a_correlation_of_g(case, dtype):
 @pytest.mark.parametrize("up", [False, True])
 @pytest.mark.parametrize("x_grad,w_grad", [(True, True), (True, False), (False, True)])
 def test_backward_builds_one_patch_matrix_of_g_and_keeps_none(monkeypatch, up, x_grad, w_grad):
-    """One backward unfolds g once, not x, and the matrix is freed before
-    backward returns although the tape that recorded the op lives on."""
+    """One backward unfolds g once, not x, and its patch matrices are freed
+    before backward returns although the tape that recorded the op lives on."""
     rng = np.random.default_rng(7)
     w = Tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=w_grad)
     b = Tensor(np.zeros(3 - up), requires_grad=True)
@@ -311,17 +314,26 @@ def test_backward_builds_one_patch_matrix_of_g_and_keeps_none(monkeypatch, up, x
                requires_grad=x_grad)
     tape = Tape()
     y = deconv2d_up(x, params, (6, 6), tape) if up else conv2d(x, params, tape)
-    real, built = ops._im2col, []
+    real, built, refs = ops._unfold, [], []
 
     def spy(a, *args):
-        cols = real(a, *args)
-        built.append((a.shape[1], weakref.ref(cols[0])))
-        return cols
+        built.append(a.shape[1])
+        oh, ow, cols = real(a, *args)
+        if isinstance(cols, np.ndarray):
+            refs.append(weakref.ref(cols))
+            return oh, ow, cols
 
-    monkeypatch.setattr(ops, "_im2col", spy)
+        def watched():
+            for p in cols:
+                refs.append(weakref.ref(p))
+                yield p
+
+        return oh, ow, watched()
+
+    monkeypatch.setattr(ops, "_unfold", spy)
     pull_back(tape, y, rng.normal(size=y.shape))
-    assert [c for c, _ in built] == [y.shape[1]] and y.shape[1] != x.shape[1]
-    assert [ref() for _, ref in built] == [None]
+    assert built == [y.shape[1]] and y.shape[1] != x.shape[1]
+    assert refs and [ref() for ref in refs] == [None] * len(refs)
     assert (x.grad is not None, w.grad is not None) == (x_grad, w_grad)
 
 
@@ -358,3 +370,174 @@ def test_weight_grads_bitwise_equal_patch_matrix_on_the_right(case, dtype):
     for a in got:
         assert a.dtype == dtype and a.shape == want.shape
         assert a.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# one patch matrix per sample
+# ---------------------------------------------------------------------------
+
+
+def im2col(a, kh, kw, stride):
+    """Whole-batch unfold: the (n, c*kh*kw, oh*ow) patch matrices of a from
+    one reshape of its strided window view (a view where numpy can give
+    one, else a copy of the whole batch), plus (oh, ow)."""
+    n, c, h, w = a.shape
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    sn, sc, sr, scl = a.strides
+    view = as_strided(a, (n, c, kh, kw, oh, ow), (sn, sc, sr, scl, sr * stride, scl * stride),
+                      writeable=False)
+    return view.reshape(n, c * kh * kw, oh * ow), oh, ow
+
+
+def whole_batch_unfold(a, kh, kw, stride):
+    """`ops._unfold` with the whole batch unfolded at once."""
+    cols, oh, ow = im2col(a, kh, kw, stride)
+    return oh, ow, cols
+
+
+def corr2d_whole_batch(x, w, stride, padding):
+    """Correlation as one batched ``np.matmul`` over the whole-batch unfold."""
+    co, _, kh, kw = w.shape
+    cols, oh, ow = im2col(_pad2d(x, *padding), kh, kw, stride)
+    return np.matmul(w.reshape(co, -1), cols).reshape(x.shape[0], co, oh, ow)
+
+
+def weight_grad_whole_batch(a, cols, shape):
+    """The transpose of ``(cols_n @ a_n^T).sum(axis=0)``, batched over n."""
+    d = np.matmul(cols, a.reshape(*a.shape[:2], -1).transpose(0, 2, 1))
+    return d.sum(axis=0).T.reshape(shape)
+
+
+def adjoint_whole_batch(x, w, stride, padding, out_hw):
+    with mock.patch.object(ops, "_corr2d", corr2d_whole_batch):
+        return _adjoint_corr2d(x, w, stride, padding, out_hw)
+
+
+def conv_whole_batch(u, w, b, g, stride, pad):
+    """conv2d's output at input u and its (du, dw, db) for output gradient
+    g, each patch matrix built for the whole batch."""
+    kh, kw = w.shape[2:]
+    y = corr2d_whole_batch(u, w, stride, pad) + b.reshape(1, -1, 1, 1)
+    if stride == 1:
+        k = _swap(w)
+        cols = im2col(_pad2d(g, kh - 1 - pad[0], kw - 1 - pad[1]), kh, kw, 1)[0]
+        du = np.matmul(k.reshape(k.shape[0], -1), cols).reshape(u.shape)
+        dw = np.ascontiguousarray(_swap(weight_grad_whole_batch(u, cols, k.shape)))
+    else:
+        du = adjoint_whole_batch(g, w, 2, pad, u.shape[2:])
+        dw = weight_grad_whole_batch(g, im2col(_pad2d(u, *pad), kh, kw, 2)[0], w.shape)
+    return y, du, dw, g.sum(axis=(0, 2, 3))
+
+
+def deconv_whole_batch(x, w, b, g, pad):
+    """deconv2d_up's output and (dx, dw, db), as `conv_whole_batch`."""
+    kh, kw = w.shape[2:]
+    y = adjoint_whole_batch(x, w, 2, pad, g.shape[2:]) + b.reshape(1, -1, 1, 1)
+    cols = im2col(_pad2d(g, *pad), kh, kw, 2)[0]
+    dx = np.matmul(w.reshape(w.shape[0], -1), cols).reshape(x.shape)
+    return y, dx, weight_grad_whole_batch(x, cols, w.shape), g.sum(axis=(0, 2, 3))
+
+
+def op_outputs(op, x, w, b, g, stride, pad):
+    """``op(x, params, tape)``'s output and (dx, dw, db) for output gradient g."""
+    params = ConvParams(Tensor(w, requires_grad=True), Tensor(b, requires_grad=True),
+                        stride=stride, padding=pad)
+    x = Tensor(x, requires_grad=True)
+    tape = Tape()
+    y = op(x, params, tape)
+    pull_back(tape, y, g)
+    return y.data, x.grad, params.weight.grad, params.bias.grad
+
+
+def fixed_case(x_shape, w_shape, stride, pad, out_hw):
+    rng = np.random.default_rng(19)
+    return rng.normal(size=x_shape), rng.normal(size=w_shape), stride, pad, out_hw
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=adjoint_cases(max_n=4), dtype=st.sampled_from([np.float64, np.float32]))
+# single-row and single-column outputs, whose window views reshape without a copy
+@example(case=fixed_case((1, 1, 1, 2), (1, 1, 1, 1), 2, (0, 0), (1, 3)), dtype=np.float32)
+@example(case=fixed_case((3, 2, 1, 3), (2, 3, 1, 1), 2, (0, 0), (1, 5)), dtype=np.float32)
+@example(case=fixed_case((4, 2, 3, 1), (2, 2, 1, 1), 2, (0, 0), (5, 1)), dtype=np.float64)
+@example(case=fixed_case((2, 3, 1, 1), (3, 2, 3, 3), 1, (1, 1), (1, 1)), dtype=np.float32)
+def test_ops_bitwise_equal_whole_batch_lowering(case, dtype):
+    """conv2d and deconv2d_up, forward and every gradient, give the bits of
+    the whole-batch lowering: one patch matrix per sample hands each
+    sample's product the operand a batched ``np.matmul`` would."""
+    x, w, stride, pad, out_hw = case
+    x, w = x.astype(dtype), w.astype(dtype)
+    co, ci = w.shape[:2]
+    rng = np.random.default_rng(x.size)
+    # x is a conv's output gradient and a deconv's input; u is sized for the
+    # conv's input and the deconv's output gradient
+    u = rng.normal(size=(x.shape[0], ci, *out_hw)).astype(dtype)
+    b_down, b_up = rng.normal(size=co).astype(dtype), rng.normal(size=ci).astype(dtype)
+    runs = [(op_outputs(conv2d, u, w, b_down, x, stride, pad),
+             conv_whole_batch(u, w, b_down, x, stride, pad))]
+    if stride == 2:
+        up = lambda x, p, tape: deconv2d_up(x, p, out_hw, tape)  # noqa: E731
+        runs.append((op_outputs(up, x, w, b_up, u, 2, pad), deconv_whole_batch(x, w, b_up, u, pad)))
+    for got, want in runs:
+        for a, b in zip(got, want):
+            assert a.dtype == dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(adjoint_cases(max_n=4))
+def test_unfold_hands_each_sample_what_the_batch_reshape_would(case):
+    """`_unfold` gives the whole-batch reshape itself where that reshape is
+    a view of the input or the batch holds one sample. Otherwise it yields
+    one buffer per sample in turn, holding the values, with the strides,
+    of that sample's slice of the reshape's contiguous copy."""
+    _, w, stride, pad, out_hw = case
+    k = w.shape[2]
+    a = _pad2d(np.random.default_rng(k).normal(size=(case[0].shape[0], w.shape[1], *out_hw)),
+               *pad)
+    want, oh, ow = im2col(a, k, k, stride)
+    *hw, cols = ops._unfold(a, k, k, stride)
+    assert hw == [oh, ow]
+    if isinstance(cols, np.ndarray):
+        assert np.shares_memory(want, a) or a.shape[0] == 1
+        assert np.shares_memory(cols, a) == np.shares_memory(want, a)
+        assert cols.strides == want.strides and cols.tobytes() == want.tobytes()
+        return
+    assert not np.shares_memory(want, a)
+    seen = []
+    for i, p in enumerate(cols):
+        assert p.strides == want[i].strides and p.tobytes() == want[i].tobytes()
+        seen.append(p)
+    assert len(seen) == a.shape[0] and all(p is seen[0] for p in seen)
+
+
+def test_one_sample_patch_matrix_is_all_the_patch_storage_alive():
+    """The traced peak of a conv forward and backward at n = 4 sits three
+    samples' patch matrices below that of the whole-batch unfold. The
+    per-sample path alone makes a few small Python objects (the sample
+    loop's generator and array views, under 1 KiB here); 4 KiB is allowed
+    for them."""
+    n, c, side = 4, 8, 32
+    patch = c * 3 * 3 * side * side * np.dtype(np.float32).itemsize
+
+    def peak():
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(n, c, side, side)).astype(np.float32), requires_grad=True)
+        params = ConvParams(Tensor(rng.normal(size=(c, c, 3, 3)).astype(np.float32),
+                                   requires_grad=True),
+                            Tensor(np.zeros(c, np.float32), requires_grad=True), padding=(1, 1))
+        g = rng.normal(size=x.shape).astype(np.float32)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tape = Tape()
+            pull_back(tape, conv2d(x, params, tape), g)
+            assert x.grad is not None and params.weight.grad is not None
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    ours = peak()
+    with mock.patch.object(ops, "_unfold", whole_batch_unfold):
+        whole = peak()
+    assert whole - ours >= 3 * patch - 4096
