@@ -46,7 +46,7 @@ A recorded backward holds the gradient slots of its op's inputs and
 output (:class:`gridseg.tensor.GradSlot`) and, through its maps, only
 the arrays they read: a conv's or transposed conv's input, for the
 weight gradient (and the parameters, which the model holds anyway);
-batch norm's normalized input and inverse deviation; relu's output,
+batch norm's centred input and inverse deviation; relu's output,
 whose sign gives the mask; softmax's exponentials and their sums.
 Everything else, such as a conv's output or the inputs of batch norm, add
 and concat, is freed during the forward pass once the caller drops it.
@@ -423,6 +423,19 @@ class BatchNorm:
 
 
 def batch_norm(x: Tensor, bn: BatchNorm, training: bool, tape: Tape | None = None) -> Tensor:
+    """Normalize each channel of x and apply bn's affine map, as one
+    per-channel scale ``gamma * inv`` with ``inv = 1/sqrt(var + eps)``.
+
+    Training takes the biased batch moments, centring x once:
+    ``y = (x - mean) * scale + beta``, the variance summed from the centred
+    input without a squared temporary; the moments are folded into the
+    running estimates. Eval applies the running estimates as constants in
+    two passes, ``y = x * scale + (beta - running_mean * scale)``. That fold
+    adds two terms of size ``|running_mean| * scale`` that cancel, so it
+    keeps the float precision only while ``|running_mean|`` is not much
+    larger than ``sqrt(running_var + eps)``: y carries an absolute error of
+    about ``eps_dtype * |gamma| * |running_mean| / sqrt(running_var + eps)``.
+    """
     if x.data.ndim != 4 or x.shape[1] != bn.channels:
         raise ValueError(
             f"batch_norm channel mismatch: input {x.shape} vs {bn.channels} channels"
@@ -430,56 +443,53 @@ def batch_norm(x: Tensor, bn: BatchNorm, training: bool, tape: Tape | None = Non
     gamma, beta = bn.gamma, bn.beta
     n, c, h, w = x.shape
     m = n * h * w
+    c4 = (1, c, 1, 1)
     if training:
         if m == 1:
             raise ValueError("batch_norm in training mode needs more than one value per channel")
-        # centre the input once and take the variance from the centred
-        # values. The sums are those of np.mean and np.var, which divide by
-        # the count in float64 and round; dividing directly rounds to the
-        # same quotient while float32 holds m exactly (m <= 2**24), so the
-        # moments are the same bit for bit
         mean = np.add.reduce(x.data, (0, 2, 3)) / m
-        xhat = x.data - mean.reshape(1, c, 1, 1)
-        var = np.add.reduce(xhat * xhat, (0, 2, 3)) / m
+        xc = x.data - mean.reshape(c4)
+        var = np.einsum("nchw,nchw->c", xc, xc) / m
         mom = bn.momentum
         bn.running_mean += mom * (mean - bn.running_mean)
         bn.running_var += mom * (var - bn.running_var)
     else:
-        xhat = x.data - bn.running_mean.reshape(1, c, 1, 1)
-        var = bn.running_var
+        mean, var = bn.running_mean, bn.running_var
     inv = 1.0 / np.sqrt(var + bn.eps)
-    xhat *= inv.reshape(1, c, 1, 1)
-    y = gamma.data.reshape(1, c, 1, 1) * xhat
-    y += beta.data.reshape(1, c, 1, 1)
+    scale = gamma.data * inv
+    if training:
+        y = xc * scale.reshape(c4)
+        y += beta.data.reshape(c4)
+    else:
+        y = x.data * scale.reshape(c4)
+        y += (beta.data - mean * scale).reshape(c4)
+        xc = None if tape is None else x.data - mean.reshape(c4)  # for gamma's gradient
     return _result(y, (x, gamma, beta), tape,
-                   tape and _batch_norm_grads(xhat, inv, gamma, m, training))
+                   tape and _batch_norm_grads(xc, inv, scale, m, training))
 
 
-def _batch_norm_grads(xhat, inv, gamma: Tensor, m: int, training: bool):
-    """`batch_norm`'s gradient maps for x, gamma and beta."""
-    c = inv.size
-    sums = []  # per-channel sums of g and g * xhat, both taken by the first map that runs
+def _batch_norm_grads(xc, inv, scale, m: int, training: bool):
+    """`batch_norm`'s gradient maps for x, gamma and beta, from the centred input."""
+    c4 = (1, inv.size, 1, 1)
+    sums = []  # per-channel sums of g and g * xc, both taken by the first map that runs
 
     def reduced(g):
         if not sums:
-            sums.extend((g.sum(axis=(0, 2, 3)), (g * xhat).sum(axis=(0, 2, 3))))
+            sums.extend((np.add.reduce(g, (0, 2, 3)), np.einsum("nchw,nchw->c", g, xc)))
         return sums
 
     def dx(g):
-        gw = gamma.data.reshape(1, c, 1, 1)
         if not training:
-            return g * gw * inv.reshape(1, c, 1, 1)
-        # standard batch-norm input gradient with batch moments,
-        # (gw*inv/m) * (m*g - gsum - xhat*gxhat), one in-place ufunc per
-        # term in that order: two full-size arrays
-        gsum, gxhat = reduced(g)
-        d = m * g
-        d -= gsum.reshape(1, c, 1, 1)
-        d -= xhat * gxhat.reshape(1, c, 1, 1)
-        d *= gw * inv.reshape(1, c, 1, 1) / m
+            return g * scale.reshape(c4)
+        # the batch-moment input gradient g*a - xc*b - c, with per-channel
+        # a = scale, b = scale * inv**2 * sum(g*xc) / m, c = scale * sum(g) / m
+        gsum, gxc = reduced(g)
+        d = g * scale.reshape(c4)
+        d -= xc * (scale * inv * inv * gxc / m).reshape(c4)
+        d -= (scale * gsum / m).reshape(c4)
         return d
 
-    return dx, lambda g: reduced(g)[1], lambda g: reduced(g)[0]
+    return dx, lambda g: reduced(g)[1] * inv, lambda g: reduced(g)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -148,12 +148,17 @@ def train_run(model: GridModel, scenes: list[Scene], augment: AugmentConfig,
 
     With ``snapshot_path`` set and ``cfg.snapshot_every`` = k, a rolling
     checkpoint lands on that path after every k-th finished epoch, so an
-    interrupted run can resume from the most recent boundary.
+    interrupted run can resume from the most recent boundary. A run stopped
+    between an epoch's log line and its snapshot leaves lines the snapshot
+    does not hold, so a resumed run first drops those of epochs
+    ``epochs_done`` on; its log then matches an unbroken run's.
     """
     if not scenes:
         raise ValueError("training needs at least one scene")
     if optim is None:
         optim = make_optimizer(model, cfg)
+    if log_path and epochs_done > 0 and os.path.exists(log_path):
+        _drop_log_lines(log_path, epochs_done)
     records = []
     log = open(log_path, "a") if log_path else None
     try:
@@ -171,6 +176,25 @@ def train_run(model: GridModel, scenes: list[Scene], augment: AugmentConfig,
         if log is not None:
             log.close()
     return records
+
+
+def _drop_log_lines(path: str, epochs_done: int) -> None:
+    """Rewrite the log at ``path``, through a synced temporary file, without
+    its records of epochs ``epochs_done`` and later."""
+    def stale(line):
+        try:
+            epoch = json.loads(line).get("epoch")
+        except (ValueError, AttributeError):  # not a JSON object: not ours to drop
+            return False
+        return isinstance(epoch, int) and epoch >= epochs_done
+
+    with open(path) as f:
+        keep = [line for line in f if not stale(line)]
+    with open(f"{path}.tmp", "w") as f:
+        f.writelines(keep)
+        f.flush()
+        os.fsync(f.fileno())
+    os.replace(f"{path}.tmp", path)
 
 
 # ---------------------------------------------------------------------------

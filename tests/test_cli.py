@@ -156,6 +156,41 @@ class TestTrainEvalInfer:
         for (n, p), (_, q) in zip(a.named_parameters(), b.named_parameters()):
             assert np.array_equal(p.data, q.data), n
 
+    def test_resume_after_a_stop_between_log_line_and_snapshot(self, capsys, tmp_path,
+                                                               monkeypatch):
+        """A run stopped inside its epoch-1 snapshot, after that epoch's log
+        line, resumes to the unbroken run's log and checkpoint, byte for byte."""
+        import gridseg.train
+
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({**TINY, "train": {**TINY["train"], "epochs": 3,
+                                                         "snapshot_every": 1}}))
+        straight, straight_log = tmp_path / "straight.grdn", tmp_path / "straight.log"
+        run(capsys, "train", "--config", str(config), "--checkpoint", str(straight),
+            "--log", str(straight_log))
+
+        save, calls = gridseg.train.save_checkpoint, []
+
+        def stop_in_second_save(*args, **kwargs):
+            calls.append(kwargs["epochs_done"])
+            if len(calls) == 2:
+                raise SystemExit("stopped")
+            save(*args, **kwargs)
+
+        ckpt, log = tmp_path / "run.grdn", tmp_path / "run.log"
+        argv = ["train", "--config", str(config), "--checkpoint", str(ckpt), "--log", str(log)]
+        with monkeypatch.context() as patch:
+            patch.setattr(gridseg.train, "save_checkpoint", stop_in_second_save)
+            with pytest.raises(SystemExit):
+                main(argv)
+        assert calls == [1, 2]
+        assert [json.loads(line)["epoch"] for line in log.read_text().splitlines()] == [0, 1]
+        assert load_checkpoint(str(ckpt))[2]["epochs_done"] == 1
+        code, out, _ = run(capsys, *argv, "--resume", str(ckpt))
+        assert code == 0 and json.loads(out)["epochs_run"] == 2
+        assert log.read_bytes() == straight_log.read_bytes()
+        assert ckpt.read_bytes() == straight.read_bytes()
+
     def test_eval_scores_the_seeds_after_the_training_scenes(self, capsys, tmp_path,
                                                             tiny_config):
         ckpt = str(tmp_path / "m.grdn")
