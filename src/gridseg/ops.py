@@ -2,16 +2,22 @@
 
 Convolutions are lowered to matrix products over patch matrices, one
 sample at a time: `_unfold` copies each sample's (c*kh*kw, oh*ow) patch
-matrix in turn into one buffer, allocated per call, and `_patch_products`
-takes that sample's products from it while it is in cache. The view
-rule: where the strided window view reshapes without a copy (1x1 kernels
-at stride 1, single-row or single-column outputs), or the batch holds one
-sample, the whole batch is unfolded at once. Each product thus reads the
-operand, view or contiguous copy, that one ``np.matmul`` over the whole
-batch's reshape hands BLAS for that sample, and gives its bits. The
-reduction order inside each product is fixed at (channel, kernel row,
-kernel col), so forward results are bit-deterministic for identical
-inputs on the same machine.
+matrix in turn into one reused buffer, and `_patch_products` takes that
+sample's products from it while it is in cache. A "same" stride-1 kernel
+larger than 1x1, as in every residual unit, copies from a row-wrapped
+frame of the one sample, each patch-matrix row one contiguous run of h*w
+values, and zeroes the taps that wrapped into the neighbouring row
+(`_wrapped`); every other correlation copies from the strided window
+view of the padded batch. The view rule: where the window view of the
+padded input reshapes without a copy (`_flattens`, from shapes and
+strides: 1x1 kernels at stride 1, or a "same" 3x3 kernel's one-column
+output of one channel or one row), or the batch holds one sample, the
+whole batch is unfolded at once. Each product thus reads the operand,
+view or contiguous copy, with the values and strides that one
+``np.matmul`` over the whole padded batch's reshape hands BLAS for that
+sample, and gives its bits. The reduction order inside each product is
+fixed at (channel, kernel row, kernel col), so forward results are
+bit-deterministic for identical inputs on the same machine.
 
 The transposed convolution is implemented as the adjoint of the matching
 strided convolution, split by output phase: output rows and columns
@@ -134,24 +140,45 @@ def _pad2d(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
     return _window(x, -ph, x.shape[2] + ph, -pw, x.shape[3] + pw)
 
 
-def _unfold(a: np.ndarray, kh: int, kw: int, stride: int):
-    """oh, ow and the (c*kh*kw, oh*ow) patch matrices of a (n,c,h,w) for
-    a kh x kw kernel at ``stride``: one (n, K, L) array where the window
-    view reshapes without a copy or n is 1, else an iterator that copies
-    each sample's matrix in turn into one buffer, allocated per call, and
-    yields it (the view rule of the module docstring)."""
+def _unfold(a: np.ndarray, kh: int, kw: int, stride: int, pad):
+    """oh, ow and the (c*kh*kw, oh*ow) patch matrices of a (n,c,h,w)
+    zero-padded by pad = (ph, pw), for a kh x kw kernel at ``stride``: one
+    (n, K, L) array where the window view of the padded a reshapes without
+    a copy (`_flattens`) or n is 1, else an iterator that copies each
+    sample's matrix in turn into one buffer and yields it (the view rule of
+    the module docstring). A "same" stride-1 kernel larger than 1x1 copies
+    from a row-wrapped frame of each sample (`_wrapped`) and pads no batch;
+    both copies hold the values and strides of the view's reshape."""
     n, c, h, w = a.shape
-    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    ph, pw = pad
+    if stride == 1 and kh * kw > 1 and (kh, kw) == (2 * ph + 1, 2 * pw + 1):
+        wp = w + 2 * pw  # the view rule on the strides, in items, of `_pad2d`'s copy
+        if not _flattens((n, c, kh, kw, h, w), (0, (h + 2 * ph) * wp, wp, 1, wp, 1)):
+            cols = _wrapped(a, kh, kw, ph, pw)
+            return h, w, cols if n > 1 else next(cols).reshape(1, -1, h * w)
+    a = _pad2d(a, ph, pw)
+    oh, ow = (a.shape[2] - kh) // stride + 1, (a.shape[3] - kw) // stride + 1
     sn, sc, sr, scl = a.strides
     view = as_strided(a, (n, c, kh, kw, oh, ow),
                       (sn, sc, sr, scl, sr * stride, scl * stride), writeable=False)
     shape = (n, c * kh * kw, oh * ow)
-    if n == 1:
+    if n == 1 or _flattens(view.shape, view.strides):
         return oh, ow, view.reshape(shape)
-    try:
-        return oh, ow, view.reshape(shape, copy=False)
-    except ValueError:  # the reshape would copy the whole batch
-        return oh, ow, _samples(view, shape[1:])
+    return oh, ow, _samples(view, shape[1:])
+
+
+def _flattens(dims, strides) -> bool:
+    """Whether an array of shape dims (n, c, kh, kw, oh, ow) and these
+    strides reshapes to (n, c*kh*kw, oh*ow) as a view, by numpy's rule: it
+    is empty, or within each merged group every axis longer than 1 steps by
+    the length times the step of the next such axis."""
+    if 0 in dims:
+        return True
+    for group in ((4, 5), (1, 2, 3)):
+        axes = [(dims[i], strides[i]) for i in group if dims[i] != 1]
+        if any(s != m * t for (_, s), (m, t) in zip(axes, axes[1:])):
+            return False
+    return True
 
 
 def _samples(view: np.ndarray, shape):
@@ -162,14 +189,47 @@ def _samples(view: np.ndarray, shape):
         yield buf
 
 
-def _patch_products(a: np.ndarray, kh: int, kw: int, stride: int, left=None, right=None):
-    """``left @ P_i`` for the patch matrices P_i of a (`_unfold`), as
+def _wrapped(a: np.ndarray, kh: int, kw: int, ph: int, pw: int):
+    """Each sample's patch matrix for a kh x kw kernel at stride 1 and
+    padding (ph, pw) = ((kh-1)/2, (kw-1)/2), copied in turn into one buffer.
+
+    The sample is written into a flat frame per channel, ph zero rows of
+    width w above and below and pw zeros at each end, so tap (i, j) of
+    output q = y*w + x reads frame entry ``i*w + j + q``: row (c, i, j) of
+    the patch matrix is one contiguous run of h*w values. A tap that runs
+    off the left or right edge reads the neighbouring row instead of the
+    padding; those entries, columns x < pw - j and x >= w + pw - j, are
+    zeroed after the copy. The frame's borders are zeroed once.
+    """
+    _, c, h, w = a.shape
+    lead = ph * w + pw
+    frame = np.empty((c, 2 * lead + h * w), a.dtype)
+    frame[:, :lead] = frame[:, lead + h * w:] = 0
+    body = frame[:, lead:lead + h * w].reshape(c, h, w)
+    step = frame.itemsize
+    taps = np.ndarray((c, kh, kw, h * w), a.dtype, frame, 0,
+                      (frame.strides[0], w * step, step, step))
+    buf = np.empty((c * kh * kw, h * w), a.dtype)
+    rows, fill = buf.reshape(taps.shape), buf.reshape(c, kh, kw, h, w)
+    edges = [(j, slice(0, pw - j) if j < pw else slice(max(w + pw - j, 0), w))
+             for j in range(kw) if j != pw]
+    for x in a:
+        body[...] = x
+        rows[...] = taps
+        for j, cut in edges:
+            fill[:, :, j, :, cut] = 0
+        yield buf
+
+
+def _patch_products(a: np.ndarray, kh: int, kw: int, stride: int, pad, left=None,
+                    right=None):
+    """``left @ P_i`` for the patch matrices P_i of a padded by pad (`_unfold`), as
     (n, m, oh, ow) for left (m, K); and the sum over i of ``P_i @ right_i^T``,
     as (K, r) for right (n, r, ...) flattening to (n, r, L): each term in
     its slot of an (n, K, r) array, summed in sample order. Both read P_i
     while it is in cache; a product whose operand is None is None."""
     n = a.shape[0]
-    oh, ow, cols = _unfold(a, kh, kw, stride)
+    oh, ow, cols = _unfold(a, kh, kw, stride, pad)
     if right is not None:
         right = right.reshape(n, right.shape[1], -1).swapaxes(1, 2)
     if isinstance(cols, np.ndarray):  # the whole batch: one batched product each
@@ -193,11 +253,10 @@ def _corr2d(x: np.ndarray, w: np.ndarray, stride: int, padding) -> np.ndarray:
     """Cross-correlate x (n,ci,h,w) with w (co,ci,kh,kw) -> (n,co,oh,ow):
     per sample, one patch matrix of the padded x and one matrix product."""
     co, ci, kh, kw = w.shape
-    xp = _pad2d(x, *padding)
     if x.shape[0] == 1:  # one sample, as every eval forward: one unfold, one product
-        oh, ow, cols = _unfold(xp, kh, kw, stride)
+        oh, ow, cols = _unfold(x, kh, kw, stride, padding)
         return np.matmul(w.reshape(co, -1), cols).reshape(1, co, oh, ow)
-    return _patch_products(xp, kh, kw, stride, w.reshape(co, -1))[0]
+    return _patch_products(x, kh, kw, stride, padding, w.reshape(co, -1))[0]
 
 
 def _live_phases(n_out: int, k: int, stride: int, pad: int):
@@ -294,13 +353,13 @@ def _transposed_grads(x: np.ndarray, w: Tensor, k: np.ndarray, stride: int, pad)
     held = []
 
     def dx(g):
-        d, dk = _patch_products(_pad2d(g, *pad), kh, kw, stride, k.reshape(k.shape[0], -1),
+        d, dk = _patch_products(g, kh, kw, stride, pad, k.reshape(k.shape[0], -1),
                                 x if w.requires_grad else None)
         held.append(dk)  # None where w takes no gradient, so the w map never runs
         return d
 
     def dk(g):
-        d = held.pop() if held else _patch_products(_pad2d(g, *pad), kh, kw, stride, right=x)[1]
+        d = held.pop() if held else _patch_products(g, kh, kw, stride, pad, right=x)[1]
         return d.T.reshape(k.shape)
 
     return dx, dk, _bias_grad
@@ -368,7 +427,7 @@ def _conv_grads(x: np.ndarray, w: Tensor, stride: int, pad):
         return dx, lambda g: np.ascontiguousarray(_swap(dk(g))), db
 
     def dw(g):
-        return _patch_products(_pad2d(x, ph, pw), kh, kw, stride, right=g)[1].T.reshape(w.shape)
+        return _patch_products(x, kh, kw, stride, pad, right=g)[1].T.reshape(w.shape)
 
     return lambda g: _adjoint_corr2d(g, w.data, stride, pad, x.shape[2:]), dw, _bias_grad
 

@@ -377,22 +377,40 @@ def test_weight_grads_bitwise_equal_patch_matrix_on_the_right(case, dtype):
 # ---------------------------------------------------------------------------
 
 
+def window_view(a, kh, kw, stride):
+    """The (n, c, kh, kw, oh, ow) strided window view of a."""
+    n, c, h, w = a.shape
+    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
+    sn, sc, sr, scl = a.strides
+    return as_strided(a, (n, c, kh, kw, oh, ow), (sn, sc, sr, scl, sr * stride, scl * stride),
+                      writeable=False)
+
+
 def im2col(a, kh, kw, stride):
     """Whole-batch unfold: the (n, c*kh*kw, oh*ow) patch matrices of a from
     one reshape of its strided window view (a view where numpy can give
     one, else a copy of the whole batch), plus (oh, ow)."""
-    n, c, h, w = a.shape
-    oh, ow = (h - kh) // stride + 1, (w - kw) // stride + 1
-    sn, sc, sr, scl = a.strides
-    view = as_strided(a, (n, c, kh, kw, oh, ow), (sn, sc, sr, scl, sr * stride, scl * stride),
-                      writeable=False)
+    view = window_view(a, kh, kw, stride)
+    n, c, _, _, oh, ow = view.shape
     return view.reshape(n, c * kh * kw, oh * ow), oh, ow
 
 
-def whole_batch_unfold(a, kh, kw, stride):
-    """`ops._unfold` with the whole batch unfolded at once."""
-    cols, oh, ow = im2col(a, kh, kw, stride)
+def whole_batch_unfold(a, kh, kw, stride, pad):
+    """`ops._unfold` with the whole padded batch unfolded at once; the
+    padded batch lives as long as the patch matrices, as in a lowering that
+    pads the batch before unfolding it."""
+    padded = _pad2d(a, *pad)
+    cols, oh, ow = im2col(padded, kh, kw, stride)
+    weakref.finalize(cols, len, padded)
     return oh, ow, cols
+
+
+def padded_batch_unfold(a, kh, kw, stride, pad):
+    """`ops._unfold` copying each sample's patch matrix in turn from the
+    window view of the whole padded batch, which stays alive meanwhile."""
+    view = window_view(_pad2d(a, *pad), kh, kw, stride)
+    n, c, _, _, oh, ow = view.shape
+    return oh, ow, ops._samples(view, (c * kh * kw, oh * ow))
 
 
 def corr2d_whole_batch(x, w, stride, padding):
@@ -484,31 +502,119 @@ def test_ops_bitwise_equal_whole_batch_lowering(case, dtype):
             assert a.tobytes() == b.tobytes()
 
 
+@st.composite
+def unfold_cases(draw):
+    """An input, a kernel of side 1, 3 or 5 per axis and its stride and
+    padding; half of them "same" stride-1 kernels. Single channels and
+    single-row or single-column outputs are common."""
+    kh, kw = draw(st.sampled_from([1, 3, 5])), draw(st.sampled_from([1, 3, 5]))
+    if draw(st.booleans()):
+        stride, pad = 1, ((kh - 1) // 2, (kw - 1) // 2)
+    else:
+        stride = draw(st.sampled_from([1, 2]))
+        pad = (draw(st.integers(0, kh - 1)), draw(st.integers(0, kw - 1)))
+    n, c = draw(st.integers(1, 4)), draw(st.sampled_from([1, 1, 2, 3]))
+    h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    assume(h + 2 * pad[0] >= kh and w + 2 * pad[1] >= kw)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    x = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(n, c, h, w))
+    return x.astype(dtype), kh, kw, stride, pad
+
+
+def unfold_case(x_shape, k, dtype=np.float32):
+    """A "same" stride-1 k x k case of `unfold_cases`."""
+    x = np.random.default_rng(22).normal(size=x_shape).astype(dtype)
+    return x, k, k, 1, ((k - 1) // 2, (k - 1) // 2)
+
+
 @settings(max_examples=300, deadline=None)
-@given(adjoint_cases(max_n=4))
+@given(unfold_cases())
+# out 4x1 with one channel, whose window view reshapes without a copy; and
+# the row-wrapped copy at one column, one row and a 5x5 kernel wider than x
+@example(unfold_case((2, 1, 4, 1), 3))
+@example(unfold_case((2, 2, 4, 1), 3, np.float64))
+@example(unfold_case((3, 2, 1, 4), 3))
+@example(unfold_case((2, 3, 2, 1), 5))
+@example(unfold_case((1, 2, 3, 3), 5, np.float64))
 def test_unfold_hands_each_sample_what_the_batch_reshape_would(case):
-    """`_unfold` gives the whole-batch reshape itself where that reshape is
-    a view of the input or the batch holds one sample. Otherwise it yields
-    one buffer per sample in turn, holding the values, with the strides,
-    of that sample's slice of the reshape's contiguous copy."""
-    _, w, stride, pad, out_hw = case
-    k = w.shape[2]
-    a = _pad2d(np.random.default_rng(k).normal(size=(case[0].shape[0], w.shape[1], *out_hw)),
-               *pad)
-    want, oh, ow = im2col(a, k, k, stride)
-    *hw, cols = ops._unfold(a, k, k, stride)
+    """`_unfold` gives the whole-batch reshape of the padded input itself
+    where that reshape is a view or the batch holds one sample. Otherwise
+    it yields one buffer per sample in turn, holding the values, with the
+    strides, of that sample's slice of the reshape's contiguous copy. A
+    "same" stride-1 kernel larger than 1x1 copies from a row-wrapped frame
+    and pads no batch unless it hands over the view."""
+    x, kh, kw, stride, pad = case
+    a = _pad2d(x, *pad)
+    want, oh, ow = im2col(a, kh, kw, stride)
+    is_view = np.shares_memory(want, a)
+    padded = []
+
+    def pad2d(*args):
+        padded.append(_pad2d(*args))
+        return padded[-1]
+
+    with mock.patch.object(ops, "_pad2d", pad2d):
+        *hw, cols = ops._unfold(x, kh, kw, stride, pad)
     assert hw == [oh, ow]
+    same = stride == 1 and kh * kw > 1 and (kh, kw) == (2 * pad[0] + 1, 2 * pad[1] + 1)
+    assert (not padded) == (same and not is_view)
     if isinstance(cols, np.ndarray):
-        assert np.shares_memory(want, a) or a.shape[0] == 1
-        assert np.shares_memory(cols, a) == np.shares_memory(want, a)
+        assert is_view or x.shape[0] == 1
+        assert is_view == (bool(padded) and np.shares_memory(cols, padded[-1]))
         assert cols.strides == want.strides and cols.tobytes() == want.tobytes()
         return
-    assert not np.shares_memory(want, a)
+    assert not is_view
     seen = []
     for i, p in enumerate(cols):
         assert p.strides == want[i].strides and p.tobytes() == want[i].tobytes()
         seen.append(p)
-    assert len(seen) == a.shape[0] and all(p is seen[0] for p in seen)
+    assert len(seen) == x.shape[0] and all(p is seen[0] for p in seen)
+
+
+@pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.1.0",
+                    reason="ndarray.reshape takes copy= from NumPy 2.1")
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=6, max_size=6),
+       st.lists(st.one_of(st.none(), st.integers(0, 12)), min_size=6, max_size=6))
+def test_view_rule_agrees_with_numpy_reshape(dims, steps):
+    """`ops._flattens` says whether a (n, c, kh, kw, oh, ow) array reshapes
+    to (n, c*kh*kw, oh*ow) without a copy, as ``reshape(copy=False)`` does.
+    A step drawn as None is the one that would merge its axis with the
+    next (the last axis steps by 1)."""
+    strides = [0] * 6
+    for i in reversed(range(6)):
+        contiguous = 1 if i == 5 else dims[i + 1] * strides[i + 1]
+        strides[i] = contiguous if steps[i] is None else steps[i]
+    base = np.zeros(1 + sum((d - 1) * s for d, s in zip(dims, strides) if d), np.float32)
+    view = as_strided(base, dims, [4 * s for s in strides], writeable=False)
+    shape = (dims[0], dims[1] * dims[2] * dims[3], dims[4] * dims[5])
+    try:
+        view.reshape(shape, copy=False)
+        flat = True
+    except ValueError:
+        flat = False
+    assert ops._flattens(view.shape, view.strides) == flat
+
+
+def conv_peak(n, c, side):
+    """The traced peak of a float32 3x3 "same" conv forward and backward at
+    n samples of c channels and side x side pixels, above what it starts
+    with."""
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.normal(size=(n, c, side, side)).astype(np.float32), requires_grad=True)
+    params = ConvParams(Tensor(rng.normal(size=(c, c, 3, 3)).astype(np.float32),
+                               requires_grad=True),
+                        Tensor(np.zeros(c, np.float32), requires_grad=True), padding=(1, 1))
+    g = rng.normal(size=x.shape).astype(np.float32)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tape = Tape()
+        pull_back(tape, conv2d(x, params, tape), g)
+        assert x.grad is not None and params.weight.grad is not None
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 def test_one_sample_patch_matrix_is_all_the_patch_storage_alive():
@@ -519,25 +625,20 @@ def test_one_sample_patch_matrix_is_all_the_patch_storage_alive():
     for them."""
     n, c, side = 4, 8, 32
     patch = c * 3 * 3 * side * side * np.dtype(np.float32).itemsize
-
-    def peak():
-        rng = np.random.default_rng(4)
-        x = Tensor(rng.normal(size=(n, c, side, side)).astype(np.float32), requires_grad=True)
-        params = ConvParams(Tensor(rng.normal(size=(c, c, 3, 3)).astype(np.float32),
-                                   requires_grad=True),
-                            Tensor(np.zeros(c, np.float32), requires_grad=True), padding=(1, 1))
-        g = rng.normal(size=x.shape).astype(np.float32)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            tape = Tape()
-            pull_back(tape, conv2d(x, params, tape), g)
-            assert x.grad is not None and params.weight.grad is not None
-            return tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-
-    ours = peak()
+    ours = conv_peak(n, c, side)
     with mock.patch.object(ops, "_unfold", whole_batch_unfold):
-        whole = peak()
+        whole = conv_peak(n, c, side)
     assert whole - ours >= 3 * patch - 4096
+
+
+def test_stride_one_conv_frames_one_sample_at_a_time():
+    """A "same" stride-1 conv's forward and backward hold one sample's
+    row-wrapped frame, not the padded batch, through the sample loop: the
+    traced peak sits at least n - 1 padded samples below that of padding
+    the whole batch before copying each sample's patch matrix."""
+    n, c, side = 4, 8, 32
+    padded = c * (side + 2) ** 2 * np.dtype(np.float32).itemsize
+    ours = conv_peak(n, c, side)
+    with mock.patch.object(ops, "_unfold", padded_batch_unfold):
+        whole = conv_peak(n, c, side)
+    assert whole - ours >= (n - 1) * padded
