@@ -13,6 +13,7 @@ multi-scale evaluator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,19 +115,28 @@ def generate_dataset(n_scenes: int, seed: int, **scene_kw) -> list[Scene]:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=256)
+def _lerp_table(in_len: int, out_len: int):
+    """`_lerp_axis`'s source indices and weights, computed once per size
+    pair and shared read-only."""
+    pos = (np.arange(out_len) + 0.5) * (in_len / out_len) - 0.5
+    lo = np.floor(pos).astype(np.int64)
+    frac = pos - lo
+    table = np.clip(lo, 0, in_len - 1), np.clip(lo + 1, 0, in_len - 1), 1.0 - frac, frac
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
 def _lerp_axis(arr: np.ndarray, out_len: int, axis: int) -> np.ndarray:
     in_len = arr.shape[axis]
     if in_len == out_len:
         return arr
-    pos = (np.arange(out_len) + 0.5) * (in_len / out_len) - 0.5
-    lo = np.floor(pos).astype(np.int64)
-    frac = pos - lo
-    a = np.take(arr, np.clip(lo, 0, in_len - 1), axis=axis)
-    b = np.take(arr, np.clip(lo + 1, 0, in_len - 1), axis=axis)
+    lo, hi, w_lo, w_hi = _lerp_table(in_len, out_len)
     shape = [1] * arr.ndim
     shape[axis] = out_len
-    f = frac.reshape(shape)
-    return a * (1.0 - f) + b * f
+    return (np.take(arr, lo, axis=axis) * w_lo.reshape(shape)
+            + np.take(arr, hi, axis=axis) * w_hi.reshape(shape))
 
 
 def resize_bilinear(arr: np.ndarray, out_hw) -> np.ndarray:
@@ -139,9 +149,13 @@ def resize_bilinear(arr: np.ndarray, out_hw) -> np.ndarray:
     return out.astype(arr.dtype if arr.dtype.kind == "f" else np.float64)
 
 
+@functools.lru_cache(maxsize=256)
 def _nearest_index(out_len: int, in_len: int) -> np.ndarray:
+    """Source index of each output, computed once per size pair and shared read-only."""
     pos = (np.arange(out_len) + 0.5) * (in_len / out_len)
-    return np.clip(np.floor(pos).astype(np.int64), 0, in_len - 1)
+    index = np.clip(np.floor(pos).astype(np.int64), 0, in_len - 1)
+    index.flags.writeable = False
+    return index
 
 
 def resize_nearest(arr: np.ndarray, out_hw) -> np.ndarray:
@@ -154,13 +168,21 @@ def resize_nearest(arr: np.ndarray, out_hw) -> np.ndarray:
 
 
 def random_patch(scene: Scene, cfg: AugmentConfig, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A scene's image, label map and instance map cropped, rescaled and
+    maybe mirrored together (`augment_patch`)."""
+    return augment_patch(cfg, rng, scene.image, scene.labels, scene.instances)
+
+
+def augment_patch(cfg: AugmentConfig, rng, image: np.ndarray, *maps: np.ndarray) -> tuple:
     """Crop a random square, rescale to out_size, maybe mirror.
 
-    The image is resampled bilinearly, the label and instance maps with
-    nearest neighbor. Draw order (side, top, left, flip) is fixed so a
-    given generator state always yields the same patch.
+    The (h, w, 3) image is resampled bilinearly and returned as float32,
+    then each (h, w) map (labels, instances) with nearest neighbor, so a
+    caller resamples only the maps it passes. Draw order (side, top, left,
+    flip) is fixed and does not depend on the maps, so a given generator
+    state always yields the same patch.
     """
-    h, w = scene.labels.shape
+    h, w = image.shape[:2]
     hi = min(cfg.crop_max, h, w)
     if hi < cfg.crop_min:
         raise ValueError(f"scene {h}x{w} smaller than crop_min {cfg.crop_min}")
@@ -170,14 +192,11 @@ def random_patch(scene: Scene, cfg: AugmentConfig, rng) -> tuple[np.ndarray, np.
     flip = bool(rng.random() < cfg.hflip_p)
     sl = (slice(top, top + side), slice(left, left + side))
     out = (cfg.out_size, cfg.out_size)
-    image = resize_bilinear(scene.image[sl], out)
-    labels = resize_nearest(scene.labels[sl], out)
-    instances = resize_nearest(scene.instances[sl], out)
+    patch = [resize_bilinear(image[sl], out)] + [resize_nearest(m[sl], out) for m in maps]
     if flip:
-        image = image[:, ::-1].copy()
-        labels = labels[:, ::-1].copy()
-        instances = instances[:, ::-1].copy()
-    return image.astype(np.float32), labels, instances
+        patch = [a[:, ::-1].copy() for a in patch]
+    patch[0] = patch[0].astype(np.float32, copy=False)
+    return tuple(patch)
 
 
 # ---------------------------------------------------------------------------

@@ -198,6 +198,8 @@ def multiscale_predict(model, image: np.ndarray, scales=(1.0,)) -> np.ndarray:
         raise ValueError(f"every scale fell below the minimum input size: scales "
                          f"{list(scales)} make the {h}x{w} image smaller than {side} "
                          f"pixels a side")
+    if len(sizes) == 1:  # one vote wins outright
+        return _predict_at(model, image, *sizes[0][1:])
     classes = np.arange(model.spec.num_classes)
     votes = np.zeros((len(classes), h, w), np.int64)
     for s, sh, sw in sizes:
@@ -205,12 +207,19 @@ def multiscale_predict(model, image: np.ndarray, scales=(1.0,)) -> np.ndarray:
             warnings.warn(f"scale {s} gives {sh}x{sw}, below the {side}-pixel "
                           f"minimum side; skipping", RuntimeWarning)
             continue
-        scaled = image if (sh, sw) == (h, w) else resize_bilinear(image, (sh, sw))
-        pred = predict_logits(model, scaled).argmax(0)
-        back = pred if (sh, sw) == (h, w) else resize_nearest(pred, (h, w))
-        votes += back == classes[:, None, None]
+        votes += _predict_at(model, image, sh, sw) == classes[:, None, None]
     # argmax takes the first maximum, so vote ties go to the lowest class id
     return votes.argmax(0)
+
+
+def _predict_at(model, image: np.ndarray, sh: int, sw: int) -> np.ndarray:
+    """The argmax of the model on the image resized to (sh, sw), mapped back
+    to the image's size with nearest-neighbor sampling."""
+    h, w = image.shape[:2]
+    if (sh, sw) == (h, w):
+        return predict_logits(model, image).argmax(0)
+    pred = predict_logits(model, resize_bilinear(image, (sh, sw))).argmax(0)
+    return resize_nearest(pred, (h, w))
 
 
 def _none_if_nan(x: float):

@@ -52,8 +52,10 @@ A recorded backward holds the gradient slots of its op's inputs and
 output (:class:`gridseg.tensor.GradSlot`) and, through its maps, only
 the arrays they read: a conv's or transposed conv's input, for the
 weight gradient (and the parameters, which the model holds anyway);
-batch norm's centred input and inverse deviation; relu's output,
-whose sign gives the mask; softmax's exponentials and their sums.
+batch norm's centred input and inverse deviation (one centred input may
+serve the closures of two batch norms over the same tensor, which only
+read it: see `batch_norm`); relu's output, whose sign gives the mask;
+softmax's exponentials and their sums.
 Everything else, such as a conv's output or the inputs of batch norm, add
 and concat, is freed during the forward pass once the caller drops it.
 """
@@ -153,7 +155,9 @@ def _unfold(a: np.ndarray, kh: int, kw: int, stride: int, pad):
     ph, pw = pad
     if stride == 1 and kh * kw > 1 and (kh, kw) == (2 * ph + 1, 2 * pw + 1):
         wp = w + 2 * pw  # the view rule on the strides, in items, of `_pad2d`'s copy
-        if not _flattens((n, c, kh, kw, h, w), (0, (h + 2 * ph) * wp, wp, 1, wp, 1)):
+        # a non-empty input with h, w and kw all above 1 never takes the view
+        if (a.size and h > 1 and w > 1 and kw > 1
+                or not _flattens((n, c, kh, kw, h, w), (0, (h + 2 * ph) * wp, wp, 1, wp, 1))):
             cols = _wrapped(a, kh, kw, ph, pw)
             return h, w, cols if n > 1 else next(cols).reshape(1, -1, h * w)
     a = _pad2d(a, ph, pw)
@@ -494,6 +498,12 @@ def batch_norm(x: Tensor, bn: BatchNorm, training: bool, tape: Tape | None = Non
     keeps the float precision only while ``|running_mean|`` is not much
     larger than ``sqrt(running_var + eps)``: y carries an absolute error of
     about ``eps_dtype * |gamma| * |running_mean| / sqrt(running_var + eps)``.
+
+    On a tape, training computes the batch moments once per input value and
+    keeps them in ``tape.moments``: a second batch norm over the same
+    tensor reads the first's mean, variance and centred copy, and folds and
+    scales them with its own statistics and parameters. An untaped call
+    always computes them afresh.
     """
     if x.data.ndim != 4 or x.shape[1] != bn.channels:
         raise ValueError(
@@ -506,9 +516,14 @@ def batch_norm(x: Tensor, bn: BatchNorm, training: bool, tape: Tape | None = Non
     if training:
         if m == 1:
             raise ValueError("batch_norm in training mode needs more than one value per channel")
-        mean = np.add.reduce(x.data, (0, 2, 3)) / m
-        xc = x.data - mean.reshape(c4)
-        var = np.einsum("nchw,nchw->c", xc, xc) / m
+        moments = None if tape is None else tape.moments.get(x.slot)
+        if moments is None:
+            mean = np.add.reduce(x.data, (0, 2, 3)) / m
+            xc = x.data - mean.reshape(c4)
+            moments = mean, np.einsum("nchw,nchw->c", xc, xc) / m, xc
+            if tape is not None:
+                tape.moments[x.slot] = moments
+        mean, var, xc = moments
         mom = bn.momentum
         bn.running_mean += mom * (mean - bn.running_mean)
         bn.running_var += mom * (var - bn.running_var)
@@ -621,6 +636,10 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_label: int 
         dz = (ez / se) * scale[:, None]
         onehot = np.take_along_axis(dz, idx, axis=1)
         np.put_along_axis(dz, idx, onehot - scale[:, None], axis=1)
-        return dz * g
+        dz *= g
+        # rounded once to the logits' dtype, with the bits of adding dz into
+        # a zeroed slot: +0.0 turns -0.0 into 0.0 as the zeros did. The
+        # dtype comes from ez so that the map does not hold the logits
+        return np.add(dz, 0.0, dtype=ez.dtype, casting="same_kind")
 
     return _result(np.asarray(loss, dtype=z.dtype), (logits,), tape, tape and (dlogits,))

@@ -4,9 +4,17 @@ The optimizer owns its parameters' storage. Building an :class:`Adam`
 packs the parameters, in the order given, into one contiguous buffer and
 rebinds each ``p.data`` to its view of it; the moments ``m`` and ``v``
 are float64 buffers with one view per parameter in the same order. A
-step is then a few in-place ufuncs over whole buffers. Building a second
-Adam over the same tensors moves them into the new one's buffer, so the
-Adam built last owns them and the earlier one must not be stepped again.
+step gathers the gradients into a float64 buffer of the same layout and
+checks them all with one dot product (a finite sum of squares means every
+entry is finite; a non-finite one is confirmed tensor by tensor, since a
+float64 gradient above about 1e154 overflows the square). It then runs the
+update's in-place ufuncs over blocks of ``BLOCK`` elements in turn, so
+that each block's gradients, moments and parameters stay in cache through
+all of its operations. Each element sees the same operations in the same
+order as over whole buffers, so the bits do not depend on the block size.
+Building a second Adam over the same tensors moves them into the new
+one's buffer, so the Adam built last owns them and the earlier one must
+not be stepped again.
 
 Moment buffers and the update arithmetic stay in float64 regardless of
 the parameter dtype; the finished update is cast back once. Parameters
@@ -21,6 +29,9 @@ import math
 import numpy as np
 
 from .tensor import Tensor
+
+
+BLOCK = 16384  # elements per block of the update: 128 KiB of each float64 buffer
 
 
 class GradientError(RuntimeError):
@@ -77,7 +88,7 @@ class Adam:
         self._m = np.zeros(size, np.float64)
         self._v = np.zeros(size, np.float64)
         self._grad = np.empty(size, np.float64)  # step workspace: gradients, then the update
-        self._denom = np.empty(size, np.float64)  # step workspace: the update's denominator
+        self._denom = np.empty(max(1, min(size, BLOCK)), np.float64)  # a block's denominator
         self.m, self.v, self._grads = [], [], []
         start = 0
         for p in self.params:
@@ -101,14 +112,19 @@ class Adam:
         """Apply one update; returns the learning rate used.
 
         All gradients are validated before any parameter moves, so a
-        non-finite gradient leaves the whole model untouched. Gradients
-        are cleared afterwards.
+        non-finite gradient leaves the whole model, the moments and ``t``
+        untouched. Gradients are cleared afterwards, and also when a
+        non-finite one raises, so that the next backward starts afresh.
         """
         for p, g in zip(self.params, self._grads):
             g[...] = 0.0 if p.grad is None else p.grad
-        if not np.isfinite(self._grad).all():
-            bad = next(k for k, g in enumerate(self._grads) if not np.isfinite(g).all())
-            raise GradientError(f"non-finite gradient in {self.names[bad]}")
+        if not math.isfinite(np.dot(self._grad, self._grad)):
+            bad = next((k for k, g in enumerate(self._grads) if not np.isfinite(g).all()),
+                       None)
+            if bad is not None:
+                for p in self.params:
+                    p.grad = None
+                raise GradientError(f"non-finite gradient in {self.names[bad]}")
         self.t += 1
         lr_t = self.effective_lr(self.t)
         c1 = 1.0 - self.beta1 ** self.t
@@ -117,22 +133,26 @@ class Adam:
         # update = lr_t*(m/c1) / (sqrt(v/c2) + eps): one in-place ufunc per
         # operation of the formula, in its order, so every element rounds as
         # it would with the formula evaluated term by term on that tensor
-        g, d = self._grad, self._denom
-        self._m *= self.beta1
-        np.multiply(g, 1.0 - self.beta1, out=d)
-        self._m += d
-        np.square(g, out=g)
-        g *= 1.0 - self.beta2
-        self._v *= self.beta2
-        self._v += g
-        np.divide(self._v, c2, out=d)
-        np.sqrt(d, out=d)
-        d += self.eps
-        np.divide(self._m, c1, out=g)
-        g *= lr_t
-        g /= d
-        # computed in float64 and rounded once to the parameter dtype
-        np.subtract(self._data, g, out=self._data)
+        block = self._denom.size
+        for lo in range(0, self._grad.size, block):
+            hi = lo + block
+            g, m, v, data = self._grad[lo:hi], self._m[lo:hi], self._v[lo:hi], self._data[lo:hi]
+            d = self._denom[:g.size]
+            m *= self.beta1
+            np.multiply(g, 1.0 - self.beta1, out=d)
+            m += d
+            np.square(g, out=g)
+            g *= 1.0 - self.beta2
+            v *= self.beta2
+            v += g
+            np.divide(v, c2, out=d)
+            np.sqrt(d, out=d)
+            d += self.eps
+            np.divide(m, c1, out=g)
+            g *= lr_t
+            g /= d
+            # computed in float64 and rounded once to the parameter dtype
+            np.subtract(data, g, out=data)
         for p in self.params:
             p.grad = None
         return lr_t

@@ -26,6 +26,17 @@ the gradient in it are freed once the last closure that holds them has
 run. After :func:`backward` only leaves and the tensors the caller still
 holds keep a ``grad`` at all (a meaningful one only on leaves, as above),
 and the spent tape holds no closures.
+
+A tape also keeps, in :attr:`Tape.moments`, the batch moments of each
+value that a training-mode batch norm has normalized on it, keyed by the
+value's gradient slot: in a grid, every node's value opens two units with
+batch norm, and the second reads the first's mean, variance and centred
+copy (see :func:`gridseg.ops.batch_norm`). The memo relies on one
+invariant: within one taped forward, no op writes into an input's data.
+Its dict holds the slots, so no key can be reused while the tape lives.
+:func:`backward` clears it before the first closure runs; from then on
+only the batch-norm closures hold a centred copy, which is freed once the
+last of them has run.
 """
 
 from __future__ import annotations
@@ -121,11 +132,16 @@ class Tape:
     would double-count gradient contributions, so a second call is
     rejected. Backward pops each closure before running it, so a spent
     tape holds no closures and keeps no activation alive.
+
+    ``moments`` maps the gradient slot of each value a training-mode batch
+    norm has normalized on this tape to its batch ``(mean, var, xc)``; the
+    lifetime rule in the module docstring says when it is cleared.
     """
 
     def __init__(self):
         self._nodes = []
         self._spent = False
+        self.moments: dict[GradSlot, tuple] = {}
 
     def record(self, backward_fn) -> None:
         self._nodes.append(backward_fn)
@@ -138,13 +154,14 @@ def backward(tape: Tape, loss: Tensor) -> None:
     has run, freeing what only it held: its op's saved arrays, and its
     output's gradient slot with the gradient in it. Afterwards only leaves
     and the tensors the caller still holds keep a ``grad``, and ``tape``
-    holds no closures.
+    holds no closures and no batch moments.
     """
     if tape._spent:
         raise RuntimeError("tape already consumed by backward(); record a fresh tape")
     if loss.data.shape != ():
         raise ValueError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     tape._spent = True
+    tape.moments.clear()
     loss.grad = np.ones_like(loss.data)
     nodes = tape._nodes
     while nodes:

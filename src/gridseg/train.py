@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import AugmentConfig, Scene, random_patch
+from .data import AugmentConfig, Scene, augment_patch
 from .dropout import sample_drop_mask
 from .grid import ConnectionMask, GridModel, GridSpec, build_grid
 from .ops import softmax_cross_entropy
@@ -85,8 +85,8 @@ class TrainConfig:
 def make_batch(scenes: list[Scene], augment: AugmentConfig, rng):
     """Sample one augmented patch per scene; images come out (n, 3, s, s)."""
     images, labels = [], []
-    for scene in scenes:
-        img, lab, _ = random_patch(scene, augment, rng)
+    for scene in scenes:  # the instance maps are not resampled: training reads no instances
+        img, lab = augment_patch(augment, rng, scene.image, scene.labels)
         images.append(img.transpose(2, 0, 1))
         labels.append(lab)
     return np.stack(images), np.stack(labels)

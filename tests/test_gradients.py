@@ -102,6 +102,29 @@ def test_batch_norm_train_gradients():
     check(loss_fn, [("x", x), ("gamma", bn.gamma), ("beta", bn.beta)], n_coords=80)
 
 
+def test_two_batch_norms_over_one_input_gradients():
+    """The second batch norm reads the first's batch moments from the tape;
+    the finite differences run untaped, so they recompute them each time."""
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+    bns = [BatchNorm(3, dtype=np.float64) for _ in range(2)]
+    for bn in bns:
+        bn.gamma.data[:] = rng.normal(1.0, 0.3, 3)
+        bn.beta.data[:] = rng.normal(size=3)
+    labels = rng.integers(0, 3, (2, 4, 4))
+
+    def loss_fn(tape):
+        for bn in bns:  # running stats frozen, as above
+            bn.running_mean[:] = 0.0
+            bn.running_var[:] = 1.0
+        y = add(batch_norm(x, bns[0], True, tape), relu(batch_norm(x, bns[1], True, tape),
+                                                         tape), tape)
+        return softmax_cross_entropy(y, labels, tape=tape)
+
+    check(loss_fn, [("x", x)] + [(f"{name}{k}", getattr(bn, name)) for k, bn in enumerate(bns)
+                                 for name in ("gamma", "beta")], n_coords=80)
+
+
 def test_batch_norm_eval_gradients():
     rng = np.random.default_rng(14)
     x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridseg import GridSpec, build_grid, symmetric_columns
-from gridseg.data import Scene, generate_dataset
+from gridseg.data import Scene, generate_dataset, resize_bilinear, resize_nearest
 from gridseg.metrics import (
     CategoryMap,
     ConfusionMatrix,
@@ -285,10 +285,14 @@ def stub_model(pred_by_height, num_classes=3):
 
 class TestMultiscale:
     def test_single_scale_is_plain_argmax(self):
+        """One scale casts the only vote: its argmax, mapped back to full size."""
         model = build_grid(GridSpec(2, symmetric_columns(1, 1), 4, 4), (16, 16), seed=0)
         scene = generate_dataset(1, seed=3, width=16, height=16)[0]
-        pred = multiscale_predict(model, scene.image, scales=(1.0,))
-        assert np.array_equal(pred, predict_logits(model, scene.image).argmax(0))
+        for scale, size in (1.0, 16), (1.5, 24):
+            pred = multiscale_predict(model, scene.image, scales=(scale,))
+            scaled = resize_bilinear(scene.image, (size, size))
+            want = resize_nearest(predict_logits(model, scaled).argmax(0), (16, 16))
+            assert pred.dtype == want.dtype and np.array_equal(pred, want)
 
     def test_vote_tie_goes_to_lowest_class(self):
         # full scale predicts class 2, half scale class 0: one vote each,

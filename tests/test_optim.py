@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gridseg.optim
 from gridseg import Tensor, build_grid
 from gridseg.config import RunConfig
 from gridseg.optim import Adam, GradientError
@@ -81,28 +82,40 @@ def arena_cases(draw):
             draw(st.integers(0, 2**32 - 1)))
 
 
+def blocked_adam(block, *args, **kwargs):
+    """An Adam whose update runs over blocks of ``block`` elements (None:
+    the default block)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(gridseg.optim, "BLOCK", block)
+        return Adam(*args, **kwargs)
+
+
 class TestFlatArena:
     @settings(max_examples=80, deadline=None)
     @given(case=arena_cases())
     def test_matches_per_tensor_reference(self, case):
+        """At the default block size and at 1, 3 and 7 elements a block:
+        each element sees the same operations whatever the blocks."""
         shapes, dtype, scale, hp, absent, seed = case
-        rng = np.random.default_rng(seed)
-        params = [Tensor((scale * rng.normal(size=s)).astype(dtype), requires_grad=True)
-                  for s in shapes]
-        ref = PerTensorAdam(params, **hp)
-        opt = Adam([(f"p{k}", p) for k, p in enumerate(params)], **hp)
-        for skip in absent:
-            grads = [None if off else (rng.normal(size=s) * 10.0 ** rng.integers(-6, 4))
-                     .astype(dtype) for s, off in zip(shapes, skip)]
-            for p, g in zip(params, grads):
-                p.grad = g
-            ref.step(grads)
-            opt.step()
-        assert opt.t == ref.t
-        for k, p in enumerate(params):
-            assert same_bits(p.data, ref.data[k]), k
-            assert same_bits(opt.m[k], ref.m[k]) and same_bits(opt.v[k], ref.v[k]), k
-            assert p.grad is None
+        for block in (None, 1, 3, 7):
+            rng = np.random.default_rng(seed)
+            params = [Tensor((scale * rng.normal(size=s)).astype(dtype), requires_grad=True)
+                      for s in shapes]
+            ref = PerTensorAdam(params, **hp)
+            opt = blocked_adam(block, [(f"p{k}", p) for k, p in enumerate(params)], **hp)
+            for skip in absent:
+                grads = [None if off else (rng.normal(size=s) * 10.0 ** rng.integers(-6, 4))
+                         .astype(dtype) for s, off in zip(shapes, skip)]
+                for p, g in zip(params, grads):
+                    p.grad = g
+                ref.step(grads)
+                opt.step()
+            assert opt.t == ref.t
+            for k, p in enumerate(params):
+                for a, b in (p.data, ref.data[k]), (opt.m[k], ref.m[k]), (opt.v[k], ref.v[k]):
+                    assert same_bits(a, b), (block, k)
+                assert p.grad is None
 
     def test_parameters_and_moments_are_views_of_one_buffer(self):
         shapes = [(2, 3), (), (4,), (1, 2, 2, 1)]
@@ -129,24 +142,62 @@ class TestFlatArena:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_gradient_moves_nothing(self, bad):
-        rng = np.random.default_rng(3)
-        params = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
-                  for s in [(3,), (2, 2), (5,)]]
-        opt = Adam([(f"p{k}", p) for k, p in enumerate(params)], lr=0.1)
-        for _ in range(2):
+        """Also at 3 elements a block, where a NaN sits in the last block:
+        nothing moves in the first either. The gradients are cleared."""
+        for block in (None, 3):
+            rng = np.random.default_rng(3)
+            params = [Tensor(rng.normal(size=s).astype(np.float32), requires_grad=True)
+                      for s in [(3,), (2, 2), (5,)]]
+            opt = blocked_adam(block, [(f"p{k}", p) for k, p in enumerate(params)], lr=0.1)
+            for _ in range(2):
+                for p in params:
+                    p.grad = rng.normal(size=p.shape).astype(np.float32)
+                opt.step()
+            before = [a.copy() for a in [p.data for p in params] + opt.m + opt.v]
             for p in params:
                 p.grad = rng.normal(size=p.shape).astype(np.float32)
+            params[1].grad[1, 0] = bad
+            params[2].grad[4] = np.nan
+            with pytest.raises(GradientError, match="non-finite gradient in p1$"):
+                opt.step()
+            assert opt.t == 2
+            after = [p.data for p in params] + opt.m + opt.v
+            assert all(same_bits(a, b) for a, b in zip(before, after))
+            assert all(p.grad is None for p in params)
+
+    def test_step_after_a_raised_one_starts_afresh(self):
+        """A raise clears every gradient, so the next backward's gradients
+        step the model as if the bad ones had never been there."""
+        rng = np.random.default_rng(4)
+        shapes = [(3,), (2, 2)]
+        start = [rng.normal(size=s) for s in shapes]
+        grads = [rng.normal(size=s) for s in shapes]
+        runs = []
+        for bad in (True, False):
+            params = [Tensor(v.copy(), requires_grad=True) for v in start]
+            opt = Adam([(f"p{k}", p) for k, p in enumerate(params)], lr=0.1)
+            if bad:
+                params[0].grad = np.array([1.0, np.inf, 2.0])
+                params[1].grad = np.ones((2, 2))
+                with pytest.raises(GradientError, match="p0$"):
+                    opt.step()
+            for p, g in zip(params, grads):
+                Tensor.accumulate_grad(p, g.copy())
             opt.step()
-        before = [a.copy() for a in [p.data for p in params] + opt.m + opt.v]
-        for p in params:
-            p.grad = rng.normal(size=p.shape).astype(np.float32)
-        params[1].grad[1, 0] = bad
-        params[2].grad[4] = np.nan
-        with pytest.raises(GradientError, match="non-finite gradient in p1$"):
+            runs.append([p.data for p in params] + opt.m + opt.v + [opt.t])
+        for a, b in zip(*runs, strict=True):
+            assert same_bits(np.asarray(a), np.asarray(b))
+
+    def test_gradient_too_large_to_square_is_finite(self):
+        """1e200 squared overflows the one-pass check; the tensor-by-tensor
+        confirmation finds it finite and the step goes ahead."""
+        p = Tensor(np.zeros(3), requires_grad=True)
+        opt = Adam([("p", p)], lr=0.1)
+        p.grad = np.array([1e200, -1.0, 0.0])
+        with np.errstate(over="ignore"):  # the square's overflow makes v infinite
             opt.step()
-        assert opt.t == 2
-        after = [p.data for p in params] + opt.m + opt.v
-        assert all(same_bits(a, b) for a, b in zip(before, after))
+        assert opt.t == 1 and p.grad is None
+        assert p.data[0] == p.data[2] == 0.0 and p.data[1] == pytest.approx(0.1)
 
     def test_step_allocates_less_than_a_float64_copy(self):
         """The desk model's step works in buffers allocated once, so its

@@ -355,6 +355,25 @@ def batch_norm_error_bounds(x, bn, training, g, dtype):
     return [tol * (s + np.finfo(dtype).tiny) for s in sizes]
 
 
+def _held_arrays(closure):
+    """Every array reachable from a recorded closure through its cells and
+    containers."""
+    import gc
+    import types
+
+    held, seen, todo = [], set(), [closure]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            held.append(obj)
+        elif isinstance(obj, (types.FunctionType, types.CellType, tuple, list)):
+            todo.extend(gc.get_referents(obj))
+    return held
+
+
 class TestBatchNorm:
     def test_train_mode_matches_direct_formula(self):
         rng = np.random.default_rng(5)
@@ -492,9 +511,6 @@ class TestBatchNorm:
         """The recorded backward holds one input-sized array, x centred by
         its batch mean (not normalized), and per-channel vectors; x and the
         output die once the caller drops them."""
-        import gc
-        import types
-
         rng = np.random.default_rng(9)
         x = Tensor(rng.normal(3.0, 2.0, size=(2, 3, 4, 5)), requires_grad=True)
         bn = BatchNorm(3, dtype=np.float64)
@@ -506,19 +522,89 @@ class TestBatchNorm:
         del x, out
         assert [r() for r in refs] == [None, None]
         (closure,) = tape._nodes
-        held, seen, todo = [], set(), [closure]
-        while todo:  # every array reachable through closures, cells and containers
-            obj = todo.pop()
-            if id(obj) in seen:
-                continue
-            seen.add(id(obj))
-            if isinstance(obj, np.ndarray):
-                held.append(obj)
-            elif isinstance(obj, (types.FunctionType, types.CellType, tuple, list)):
-                todo.extend(gc.get_referents(obj))
+        held = _held_arrays(closure)
         (big,) = [a for a in held if a.shape == centred.shape]
         assert all(a.shape == (3,) for a in held if a is not big)
         assert np.allclose(big, centred, atol=1e-12)
+
+
+class TestMomentMemo:
+    """A taped training batch norm computes its input's batch moments once
+    per tape; a second one over the same tensor reuses them."""
+
+    @staticmethod
+    def _two_norms(xs, dtype, seed):
+        """Two training batch norms with their own parameters and running
+        statistics over xs[0] and xs[-1], summed under a softmax loss."""
+        rng = np.random.default_rng(seed)
+        bns = []
+        for _ in range(2):
+            bn = BatchNorm(3, dtype=dtype)
+            bn.gamma.data[:] = rng.normal(size=3)
+            bn.beta.data[:] = rng.normal(size=3)
+            bn.running_mean[:] = rng.normal(size=3)
+            bn.running_var[:] = rng.uniform(0.5, 2.0, 3)
+            bns.append(bn)
+        tape = Tape()
+        ys = [batch_norm(x, bn, True, tape) for x, bn in zip((xs[0], xs[-1]), bns)]
+        memo = dict(tape.moments)
+        centred = [max(_held_arrays(c), key=lambda a: a.size) for c in tape._nodes]
+        labels = rng.integers(0, 3, (2, 4, 5))
+        backward(tape, softmax_cross_entropy(add(*ys, tape), labels, tape=tape))
+        assert tape.moments == {}  # cleared by backward
+        got = [y.data for y in ys]
+        for bn in bns:
+            got += [bn.running_mean, bn.running_var, bn.gamma.grad, bn.beta.grad]
+        return got, memo, centred
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_shared_input_equals_two_equal_inputs(self, dtype):
+        values = np.random.default_rng(40).normal(2.0, 3.0, size=(2, 3, 4, 5)).astype(dtype)
+        x = Tensor(values.copy(), requires_grad=True)
+        x1, x2 = Tensor(values.copy(), requires_grad=True), Tensor(values.copy(),
+                                                                   requires_grad=True)
+        shared, memo, centred = self._two_norms([x], dtype, 41)
+        apart, memo_apart, centred_apart = self._two_norms([x1, x2], dtype, 41)
+        for a, b in zip(shared + [x.grad], apart + [x2.grad + x1.grad], strict=True):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert list(memo) == [x.slot] and len(memo_apart) == 2
+        assert centred[0].shape == values.shape and centred[0] is centred[1]
+        assert not np.shares_memory(*centred_apart)
+
+    def test_untaped_call_computes_afresh_and_stores_nothing(self):
+        """Finite-difference checks change inputs in place between untaped
+        evaluations; those must not read a tape's moments."""
+        rng = np.random.default_rng(42)
+        x = Tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        bn = BatchNorm(3, dtype=np.float64)
+        tape = Tape()
+        batch_norm(x, bn, True, tape)
+        memo = dict(tape.moments)
+        x.data[0, 0, 0, 0] += 1.0
+        fresh = BatchNorm(3, dtype=np.float64)
+        untaped = batch_norm(x, fresh, True)
+        assert tape.moments == memo
+        mean = x.data.mean(axis=(0, 2, 3))
+        assert np.allclose(fresh.running_mean, 0.1 * mean, rtol=0, atol=1e-15)
+        assert np.allclose(untaped.data.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
+
+    def test_desk_forward_computes_37_moments_for_49_batch_norms(self, monkeypatch):
+        """Every node value that opens both a residual and a resampling unit
+        is normalized twice and centred once."""
+        import gridseg.ops
+
+        real, calls = gridseg.ops.batch_norm, []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].slot)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gridseg.ops, "batch_norm", counted)
+        model = build_grid(DESK, (64, 64), seed=0)
+        tape = Tape()
+        x = np.random.default_rng(43).normal(size=(2, 3, 64, 64)).astype(np.float32)
+        model.forward(x, training=True, tape=tape)
+        assert len(calls) == 49 and len(set(calls)) == len(tape.moments) == 37
 
 
 # ---------------------------------------------------------------------------

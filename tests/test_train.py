@@ -42,12 +42,73 @@ def params_of(model):
     return {n: p.data.copy() for n, p in model.named_parameters()}
 
 
+def lerp_axis_ref(arr, out_len, axis):
+    """Half-pixel-center linear resampling along one axis, tables computed
+    on every call."""
+    in_len = arr.shape[axis]
+    if in_len == out_len:
+        return arr
+    pos = (np.arange(out_len) + 0.5) * (in_len / out_len) - 0.5
+    lo = np.floor(pos).astype(np.int64)
+    frac = pos - lo
+    a = np.take(arr, np.clip(lo, 0, in_len - 1), axis=axis)
+    b = np.take(arr, np.clip(lo + 1, 0, in_len - 1), axis=axis)
+    shape = [1] * arr.ndim
+    shape[axis] = out_len
+    f = frac.reshape(shape)
+    return a * (1.0 - f) + b * f
+
+
+def nearest_ref(arr, out_len, axis):
+    in_len = arr.shape[axis]
+    pos = (np.arange(out_len) + 0.5) * (in_len / out_len)
+    return np.take(arr, np.clip(np.floor(pos).astype(np.int64), 0, in_len - 1), axis=axis)
+
+
+def make_batch_ref(scenes, augment, rng):
+    """One patch per scene, every map of it resampled, the instance maps
+    then dropped."""
+    images, labels = [], []
+    for scene in scenes:
+        h, w = scene.labels.shape
+        side = int(rng.integers(augment.crop_min, min(augment.crop_max, h, w) + 1))
+        top = int(rng.integers(0, h - side + 1))
+        left = int(rng.integers(0, w - side + 1))
+        flip = bool(rng.random() < augment.hflip_p)
+        sl = (slice(top, top + side), slice(left, left + side))
+        s = augment.out_size
+        image = lerp_axis_ref(lerp_axis_ref(scene.image[sl].astype(np.float64), s, 0), s, 1)
+        image = image.astype(np.float32)
+        lab, _ = (nearest_ref(nearest_ref(m[sl], s, 0), s, 1)
+                  for m in (scene.labels, scene.instances))
+        if flip:
+            image, lab = image[:, ::-1].copy(), lab[:, ::-1].copy()
+        images.append(image.transpose(2, 0, 1))
+        labels.append(lab)
+    return np.stack(images), np.stack(labels)
+
+
 class TestBatching:
     def test_make_batch_shapes(self):
         rng = np.random.default_rng(0)
         x, y = make_batch(scenes16(3), AUG, rng)
         assert x.shape == (3, 3, 8, 8) and x.dtype == np.float32
         assert y.shape == (3, 8, 8) and y.dtype == np.int64
+
+    @settings(max_examples=40, deadline=None)
+    @given(crop=st.tuples(st.integers(1, 20), st.integers(0, 20)), out_size=st.integers(1, 24),
+           hflip_p=st.sampled_from([0.0, 0.5, 1.0]), seed=st.integers(0, 2**32 - 1))
+    def test_make_batch_byte_equal_to_uncached_formulas(self, crop, out_size, hflip_p, seed):
+        """Cached resampling tables, and no instance map resampled, change
+        neither the draws nor a byte of the batch."""
+        scenes = generate_dataset(3, seed=seed % 1000, width=21, height=20)
+        augment = AugmentConfig(crop[0], crop[0] + crop[1], out_size, hflip_p)
+        for _ in range(2):  # the second round reads the cached tables
+            rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got, want = make_batch(scenes, augment, rng), make_batch_ref(scenes, augment, ref_rng)
+            for a, b in zip(got, want, strict=True):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert rng.random() == ref_rng.random()
 
     def test_config_round_trip(self):
         cfg = TrainConfig(epochs=3, lr=0.01, lr_drop_epoch=2, lr_after_drop=0.001)
