@@ -1,19 +1,24 @@
 """Differentiable operations on 4-D tensors.
 
-Convolutions are lowered to matrix products over patch matrices, one
-sample at a time: `_unfold` copies each sample's (c*kh*kw, oh*ow) patch
-matrix in turn into one reused buffer, and `_patch_products` takes that
-sample's products from it while it is in cache. A "same" stride-1 kernel
-larger than 1x1, as in every residual unit, copies from a row-wrapped
-frame of the one sample, each patch-matrix row one contiguous run of h*w
-values, and zeroes the taps that wrapped into the neighbouring row
-(`_wrapped`); every other correlation copies from the strided window
-view of the padded batch. The view rule: where the window view of the
-padded input reshapes without a copy (`_flattens`, from shapes and
-strides: 1x1 kernels at stride 1, or a "same" 3x3 kernel's one-column
-output of one channel or one row), or the batch holds one sample, the
-whole batch is unfolded at once. Each product thus reads the operand,
-view or contiguous copy, with the values and strides that one
+Convolutions are lowered to matrix products over patch matrices. A batch
+whose (c*kh*kw, oh*ow) patch matrices together fit in ``PATCH_BYTES``
+(the size rule) is unfolded at once into one (n, K, L) array, and each
+product is one batched ``np.matmul``: at the grid's small streams a call's
+fixed cost outweighs its arithmetic. A larger batch is lowered one sample
+at a time: `_unfold` copies each sample's patch matrix in turn into one
+reused buffer, and `_patch_products` takes that sample's products from it
+while it is in cache. A "same" stride-1 kernel larger than 1x1, as in
+every residual unit, copies from a row-wrapped frame, of the one sample
+or of the whole batch viewed as one sample of n*c channels, each
+patch-matrix row one contiguous run of h*w values, and zeroes the taps
+that wrapped into the neighbouring row (`_wrapped`); every other
+correlation copies from the strided window view of the padded batch,
+built with ``np.ndarray`` over the batch's memory (`_windows`). Where
+that view reshapes without a copy (`_flattens`, from shapes and strides:
+1x1 kernels at stride 1, or a "same" 3x3 kernel's one-column output of
+one channel or one row), or the batch holds one sample, the whole batch
+is unfolded at once whatever its size. Each product thus reads the
+operand, view or contiguous copy, with the values and strides that one
 ``np.matmul`` over the whole padded batch's reshape hands BLAS for that
 sample, and gives its bits. The reduction order inside each product is
 fixed at (channel, kernel row, kernel col), so forward results are
@@ -27,9 +32,10 @@ the undilated input with that flipped, channel-swapped sub-kernel (the
 sub-pixel form of a transposed convolution, Shi et al., arXiv
 1609.07009). The phases run stacked as the output channels of one such
 correlation, each sub-kernel set into a ceil(k/s) x ceil(k/s)
-super-kernel whose empty slots hold zero: one patch matrix and one
-matrix product for all phases, at the price of multiply-adds by those
-zeros (16 slots for the 9 taps of a 3x3 kernel at stride 2). The
+super-kernel whose empty slots hold zero, gathered from w in one
+``np.take`` through a slot table cached per geometry: one patch matrix
+and one matrix product for all phases, at the price of multiply-adds by
+those zeros (16 slots for the 9 taps of a 3x3 kernel at stride 2). The
 benchmark's ``gmac`` figures stay nominal, computed from the op's
 shapes, and do not count them. The same primitive, `_adjoint_corr2d`,
 serves the upsampling forward pass and the input gradient of every
@@ -62,13 +68,15 @@ and concat, is freed during the forward pass once the caller drops it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .tensor import Tape, Tensor
+
+PATCH_BYTES = 320 << 10  # `_unfold` builds a batch's patch matrices at once up to this size
 
 
 def _result(y: np.ndarray, inputs, tape: Tape | None, grads) -> Tensor:
@@ -146,29 +154,52 @@ def _unfold(a: np.ndarray, kh: int, kw: int, stride: int, pad):
     """oh, ow and the (c*kh*kw, oh*ow) patch matrices of a (n,c,h,w)
     zero-padded by pad = (ph, pw), for a kh x kw kernel at ``stride``: one
     (n, K, L) array where the window view of the padded a reshapes without
-    a copy (`_flattens`) or n is 1, else an iterator that copies each
-    sample's matrix in turn into one buffer and yields it (the view rule of
-    the module docstring). A "same" stride-1 kernel larger than 1x1 copies
-    from a row-wrapped frame of each sample (`_wrapped`) and pads no batch;
-    both copies hold the values and strides of the view's reshape."""
+    a copy (`_flattens`), n is 1 or all n matrices fit in ``PATCH_BYTES``,
+    else an iterator that copies each sample's matrix in turn into one
+    buffer and yields it (the size rule of the module docstring). A "same"
+    stride-1 kernel larger than 1x1 copies from a row-wrapped frame
+    (`_wrapped`), of the whole batch as one sample of n*c channels or of
+    each sample in turn, and pads no batch; every other kernel copies from
+    the window view of the padded batch (`_windows`). Each copy holds the
+    values and strides of the view's reshape."""
     n, c, h, w = a.shape
     ph, pw = pad
-    if stride == 1 and kh * kw > 1 and (kh, kw) == (2 * ph + 1, 2 * pw + 1):
+    same = stride == 1 and kh * kw > 1 and (kh, kw) == (2 * ph + 1, 2 * pw + 1)
+    oh, ow = (h, w) if same else ((h + 2 * ph - kh) // stride + 1, (w + 2 * pw - kw) // stride + 1)
+    shape = (n, c * kh * kw, oh * ow)
+    whole = n == 1 or n * c * kh * kw * oh * ow * a.itemsize <= PATCH_BYTES
+    if same:
         wp = w + 2 * pw  # the view rule on the strides, in items, of `_pad2d`'s copy
         # a non-empty input with h, w and kw all above 1 never takes the view
         if (a.size and h > 1 and w > 1 and kw > 1
                 or not _flattens((n, c, kh, kw, h, w), (0, (h + 2 * ph) * wp, wp, 1, wp, 1))):
-            cols = _wrapped(a, kh, kw, ph, pw)
-            return h, w, cols if n > 1 else next(cols).reshape(1, -1, h * w)
-    a = _pad2d(a, ph, pw)
-    oh, ow = (a.shape[2] - kh) // stride + 1, (a.shape[3] - kw) // stride + 1
-    sn, sc, sr, scl = a.strides
-    view = as_strided(a, (n, c, kh, kw, oh, ow),
-                      (sn, sc, sr, scl, sr * stride, scl * stride), writeable=False)
-    shape = (n, c * kh * kw, oh * ow)
-    if n == 1 or _flattens(view.shape, view.strides):
+            if not whole:
+                return h, w, _wrapped(a, kh, kw, ph, pw)
+            return h, w, next(_wrapped(a.reshape(1, n * c, h, w), kh, kw, ph, pw)).reshape(shape)
+    view = _windows(_pad2d(a, ph, pw), kh, kw, stride)
+    if whole or _flattens(view.shape, view.strides):
         return oh, ow, view.reshape(shape)
     return oh, ow, _samples(view, shape[1:])
+
+
+def _windows(a: np.ndarray, kh: int, kw: int, stride: int) -> np.ndarray:
+    """The (n, c, kh, kw, oh, ow) window view of a (n,c,h,w) for a kh x kw
+    kernel at ``stride``, built as `_wrapped` builds its view: ``np.ndarray``
+    over a's memory, a fraction of ``as_strided``'s cost per call. An a that
+    is not contiguous, such as an in-bounds `_window`, is viewed through the
+    nearest contiguous array in its chain of bases, without a copy; one with
+    no such base (a view of a foreign buffer) is copied first."""
+    base = a
+    while not base.flags.forc and isinstance(base.base, np.ndarray):
+        base = base.base
+    if not base.flags.forc:
+        a = base = np.ascontiguousarray(a)
+    offset = 0 if base is a else (a.__array_interface__["data"][0]
+                                  - base.__array_interface__["data"][0])
+    n, c, h, w = a.shape
+    sn, sc, sr, scl = a.strides
+    return np.ndarray((n, c, kh, kw, (h - kh) // stride + 1, (w - kw) // stride + 1), a.dtype,
+                      base, offset, (sn, sc, sr, scl, sr * stride, scl * stride))
 
 
 def _flattens(dims, strides) -> bool:
@@ -293,10 +324,11 @@ def _adjoint_corr2d(x, w, stride, padding, out_hw) -> np.ndarray:
     one slot for a 1x1), and is written to ``y[:, :, o0h::s, o0w::s]``.
     One window of x, one patch matrix and one matrix product serve every
     phase; the window carries zeros only where it runs past the border of
-    x, and a phase with no taps (a 1x1 kernel at stride 2) stays zero.
-    out_hw must be a size that `_corr2d` maps back to x's: the implied
-    output padding lies in [0, stride) per axis, and the padding is below
-    the kernel size.
+    x, and a phase with no taps (a 1x1 kernel at stride 2) stays zero;
+    where every kernel side is at least the stride, the live phases write
+    every output and y is allocated unfilled. out_hw must be a size that
+    `_corr2d` maps back to x's: the implied output padding lies in
+    [0, stride) per axis, and the padding is below the kernel size.
     """
     n, co, h, w_in = x.shape
     _, ci, kh, kw = w.shape
@@ -309,26 +341,57 @@ def _adjoint_corr2d(x, w, stride, padding, out_hw) -> np.ndarray:
                          f"implied output padding {opad}")
     s, (ph, pw) = stride, padding
     th, tw = -(-kh // s), -(-kw // s)
-    phases = list(itertools.product(_live_phases(oh, kh, s, ph), _live_phases(ow, kw, s, pw)))
-    # kept (co, th, tw, phase, ci), so that the matrix product reads it
-    # transposed and OpenBLAS takes its packed GEMM, which adds each
-    # output's products in K order with FMA wherever the output sits: the
-    # zero slots add exact zeros and each phase keeps its per-phase bits.
-    # OpenBLAS's small-matrix kernel for untransposed operands rounds the
-    # columns past the last multiple of 16 otherwise, and the stacked
-    # output has more columns than each phase had
-    kern = np.zeros((co, th, tw, len(phases), ci), dtype=w.dtype)
-    for i, ((rh, *_), (rw, *_)) in enumerate(phases):
-        sub = _swap(w[:, :, rh::s, rw::s]).transpose(1, 2, 3, 0)
-        kern[:, th - sub.shape[1]:, tw - sub.shape[2]:, i] = sub
+    rows, cols = list(_live_phases(oh, kh, s, ph)), list(_live_phases(ow, kw, s, pw))
+    phases = list(itertools.product(rows, cols))
+    kern = _super_kernel(w, s, tuple(r[0] for r in rows), tuple(c[0] for c in cols))
     win = _window(x, ph // s - th + 1, (oh - 1 + ph) // s + 1,
                   pw // s - tw + 1, (ow - 1 + pw) // s + 1)
     out = _corr2d(win, kern.reshape(co, th, tw, -1).transpose(3, 0, 1, 2), 1, (0, 0))
     out = out.reshape(n, len(phases), ci, *out.shape[2:])
-    y = np.zeros((n, ci, oh, ow), dtype=out.dtype)
+    y = (np.empty if kh >= s and kw >= s else np.zeros)((n, ci, oh, ow), dtype=out.dtype)
     for i, ((_, o0h, jh, ch), (_, o0w, jw, cw)) in enumerate(phases):
         y[:, :, o0h::s, o0w::s] = out[:, i, :, jh:jh + ch, jw:jw + cw]
     return y
+
+
+def _super_kernel(w: np.ndarray, s: int, rhs, rws) -> np.ndarray:
+    """`_adjoint_corr2d`'s stacked super-kernel for w (co,ci,kh,kw) at
+    stride s and the live phases rhs x rws (`_live_phases`), as
+    (co, th, tw, phase, ci): one gather through `_slot_table` from w laid out
+    (co, tap, ci) with a zero tap appended.
+
+    It is kept in that layout so that the matrix product reads it
+    transposed and OpenBLAS takes its packed GEMM, which adds each
+    output's products in K order with FMA wherever the output sits: the
+    zero slots add exact zeros and each phase keeps its per-phase bits.
+    OpenBLAS's small-matrix kernel for untransposed operands rounds the
+    columns past the last multiple of 16 otherwise, and the stacked output
+    has more columns than each phase had.
+    """
+    co, ci, kh, kw = w.shape
+    taps = np.zeros((co, kh * kw + 1, ci), w.dtype)
+    taps[:, :-1] = w.reshape(co, ci, -1).transpose(0, 2, 1)
+    kern = np.take(taps, _slot_table(kh, kw, s, rhs, rws), axis=1)
+    return kern.reshape(co, -(-kh // s), -(-kw // s), len(rhs) * len(rws), ci)
+
+
+@functools.lru_cache(maxsize=64)
+def _slot_table(kh: int, kw: int, s: int, rhs, rws) -> np.ndarray:
+    """The tap of a kh x kw kernel, as i*kw + j, in each slot (p, q, phase)
+    of `_super_kernel`, or kh*kw for a slot that holds zero; computed once
+    per geometry and shared read-only.
+
+    Phase (rh, rw) sets its flipped sub-kernel ``w[:, :, rh::s, rw::s]``
+    into the trailing corner of the th x tw super-kernel, so slot (p, q)
+    holds tap (rh + s*(th-1-p), rw + s*(tw-1-q)) where that lies inside
+    the kernel.
+    """
+    th, tw = -(-kh // s), -(-kw // s)
+    i = (np.array(rhs, np.intp) + s * (th - 1 - np.arange(th))[:, None])[:, None, :, None]
+    j = (np.array(rws, np.intp) + s * (tw - 1 - np.arange(tw))[:, None])[None, :, None, :]
+    table = np.where((i < kh) & (j < kw), i * kw + j, kh * kw).reshape(-1)
+    table.flags.writeable = False
+    return table
 
 
 def _swap(k: np.ndarray) -> np.ndarray:
@@ -342,8 +405,9 @@ def _bias_grad(g: np.ndarray) -> np.ndarray:
 
 
 def _transposed_grads(x: np.ndarray, w: Tensor, k: np.ndarray, stride: int, pad):
-    """Maps for x, w and b of the transpose of correlating with kernel k
-    (w or a view of it) at ``stride`` and ``pad``; x is the op's input array.
+    """Maps for x, w and b of the transpose of correlating with kernel k at
+    ``stride`` and ``pad``: k is w or ``_swap(w)``, and x is the op's input
+    array.
 
     Both gradients read the patch matrices G_n of the padded output
     gradient: dx_n is ``k @ G_n`` and k's gradient the sum over n of
@@ -362,9 +426,15 @@ def _transposed_grads(x: np.ndarray, w: Tensor, k: np.ndarray, stride: int, pad)
         held.append(dk)  # None where w takes no gradient, so the w map never runs
         return d
 
+    swapped = k is not w.data
+
     def dk(g):
         d = held.pop() if held else _patch_products(g, kh, kw, stride, pad, right=x)[1]
-        return d.T.reshape(k.shape)
+        if not swapped:
+            return d.T.reshape(k.shape)
+        # _swap of k's gradient d.T.reshape(k.shape), in one layout copy
+        return np.ascontiguousarray(d.reshape(k.shape[1], kh, kw, -1)[:, ::-1, ::-1]
+                                    .transpose(0, 3, 1, 2))
 
     return dx, dk, _bias_grad
 
@@ -427,8 +497,7 @@ def _conv_grads(x: np.ndarray, w: Tensor, stride: int, pad):
     kh, kw = w.shape[2:]
     ph, pw = pad
     if stride == 1:
-        dx, dk, db = _transposed_grads(x, w, _swap(w.data), 1, (kh - 1 - ph, kw - 1 - pw))
-        return dx, lambda g: np.ascontiguousarray(_swap(dk(g))), db
+        return _transposed_grads(x, w, _swap(w.data), 1, (kh - 1 - ph, kw - 1 - pw))
 
     def dw(g):
         return _patch_products(x, kh, kw, stride, pad, right=g)[1].T.reshape(w.shape)

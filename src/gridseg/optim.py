@@ -5,9 +5,12 @@ packs the parameters, in the order given, into one contiguous buffer and
 rebinds each ``p.data`` to its view of it; the moments ``m`` and ``v``
 are float64 buffers with one view per parameter in the same order. A
 step gathers the gradients into a float64 buffer of the same layout and
-checks them all with one dot product (a finite sum of squares means every
-entry is finite; a non-finite one is confirmed tensor by tensor, since a
-float64 gradient above about 1e154 overflows the square). It then runs the
+checks them all with one dot product: a finite sum of squares means every
+entry and its square are finite. Otherwise the tensors are checked one by
+one, and an entry that is not finite, or whose square overflows (a
+float64 gradient above about 1.3e154, which would make ``v`` infinite and
+freeze that coordinate for good), raises :class:`GradientError`; finite
+squares whose sum alone overflows step as usual. It then runs the
 update's in-place ufuncs over blocks of ``BLOCK`` elements in turn, so
 that each block's gradients, moments and parameters stay in cache through
 all of its operations. Each element sees the same operations in the same
@@ -35,7 +38,7 @@ BLOCK = 16384  # elements per block of the update: 128 KiB of each float64 buffe
 
 
 class GradientError(RuntimeError):
-    """A parameter gradient contains NaN or infinity."""
+    """A parameter gradient contains NaN or infinity, or an entry too large to square."""
 
 
 DECAY_MODES = ("inverse_time", "multiplicative")
@@ -112,19 +115,23 @@ class Adam:
         """Apply one update; returns the learning rate used.
 
         All gradients are validated before any parameter moves, so a
-        non-finite gradient leaves the whole model, the moments and ``t``
-        untouched. Gradients are cleared afterwards, and also when a
-        non-finite one raises, so that the next backward starts afresh.
+        non-finite gradient, or one too large to square, leaves the whole
+        model, the moments and ``t`` untouched. Gradients are cleared
+        afterwards, and also when a bad one raises, so that the next
+        backward starts afresh.
         """
         for p, g in zip(self.params, self._grads):
             g[...] = 0.0 if p.grad is None else p.grad
-        if not math.isfinite(np.dot(self._grad, self._grad)):
-            bad = next((k for k, g in enumerate(self._grads) if not np.isfinite(g).all()),
-                       None)
-            if bad is not None:
-                for p in self.params:
-                    p.grad = None
-                raise GradientError(f"non-finite gradient in {self.names[bad]}")
+        with np.errstate(over="ignore"):  # an overflow is what the checks look for
+            bad = None if math.isfinite(np.dot(self._grad, self._grad)) else next(
+                (k for k, g in enumerate(self._grads) if not np.isfinite(np.square(g)).all()),
+                None)
+        if bad is not None:
+            for p in self.params:
+                p.grad = None
+            what = ("gradient too large to square" if np.isfinite(self._grads[bad]).all()
+                    else "non-finite gradient")
+            raise GradientError(f"{what} in {self.names[bad]}")
         self.t += 1
         lr_t = self.effective_lr(self.t)
         c1 = 1.0 - self.beta1 ** self.t

@@ -5,6 +5,7 @@ the conv gradients that share one patch matrix of the output gradient, of
 the weight gradients taken with the patch matrix on the left, and of the
 lowering that builds one sample's patch matrix at a time."""
 
+import itertools
 import tracemalloc
 import weakref
 from unittest import mock
@@ -197,6 +198,87 @@ def test_output_padding_outside_the_stride_is_unreachable(data):
     assume(min(out_hw) >= 1)
     with pytest.raises(ValueError, match="unreachable"):
         _adjoint_corr2d(np.zeros((1, 2, *side)), np.zeros((2, 1, k, k)), stride, pad, out_hw)
+
+
+def super_kernel_loop(w, s, rhs, rws):
+    """Reference: the stacked super-kernel (co, th, tw, phase, ci) filled
+    one phase at a time, each flipped, channel-swapped sub-kernel set into
+    the trailing corner of its slot."""
+    co, ci, kh, kw = w.shape
+    th, tw = -(-kh // s), -(-kw // s)
+    kern = np.zeros((co, th, tw, len(rhs) * len(rws), ci), dtype=w.dtype)
+    for i, (rh, rw) in enumerate(itertools.product(rhs, rws)):
+        sub = _swap(w[:, :, rh::s, rw::s]).transpose(1, 2, 3, 0)
+        kern[:, th - sub.shape[1]:, tw - sub.shape[2]:, i] = sub
+    return kern
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_super_kernel_bitwise_equal_per_phase_loop(data):
+    """The one gather through the cached slot table gives the per-phase
+    loop's super-kernel, every slot and its zeros, for any kernel, stride
+    and set of live phases."""
+    kh, kw = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    s = data.draw(st.integers(1, 3))
+    rhs = data.draw(st.lists(st.integers(0, min(s, kh) - 1), min_size=1, unique=True).map(sorted))
+    rws = data.draw(st.lists(st.integers(0, min(s, kw) - 1), min_size=1, unique=True).map(sorted))
+    co, ci = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+    w = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).normal(
+        size=(co, ci, kh, kw)).astype(dtype)
+    got = ops._super_kernel(w, s, tuple(rhs), tuple(rws))
+    want = super_kernel_loop(w, s, rhs, rws)
+    assert got.dtype == dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not ops._slot_table(kh, kw, s, tuple(rhs), tuple(rws)).flags.writeable
+
+
+class Poisoned:
+    """Stands in for numpy in `ops`: ``np.empty`` returns NaN-filled
+    arrays, so a result that reads a slot nobody wrote shows it. Records
+    the shape of each ``empty`` and ``zeros`` call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def empty(self, shape, dtype=float):
+        self.calls.append(("empty", tuple(np.atleast_1d(shape))))
+        return np.full(shape, np.nan, dtype)
+
+    def zeros(self, shape, dtype=float):
+        self.calls.append(("zeros", tuple(np.atleast_1d(shape))))
+        return np.zeros(shape, dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_adjoint_output_is_empty_only_where_the_phases_tile_it(data):
+    """`_adjoint_corr2d` allocates its output with ``np.empty`` where every
+    kernel side is at least the stride, so every output phase has taps, and
+    with ``np.zeros`` where one is below it (a 1x1 kernel at stride 2):
+    with ``np.empty`` poisoned, the bits do not change."""
+    k = data.draw(st.integers(1, 4))
+    s = data.draw(st.integers(1, 3))
+    pad = (data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1)))
+    side = (data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7)))
+    opad = (data.draw(st.integers(0, s - 1)), data.draw(st.integers(0, s - 1)))
+    out_hw = tuple((d - 1) * s - 2 * p + k + o for d, p, o in zip(side, pad, opad))
+    assume(min(out_hw) >= 1)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n, co, ci = (data.draw(st.integers(1, 3)) for _ in range(3))
+    x, w = rng.normal(size=(n, co, *side)), rng.normal(size=(co, ci, k, k))
+    want = _adjoint_corr2d(x, w, s, pad, out_hw)
+    poisoned = Poisoned()
+    with mock.patch.object(ops, "np", poisoned):
+        got = _adjoint_corr2d(x, w, s, pad, out_hw)
+    assert got.tobytes() == want.tobytes()
+    assert np.max(np.abs(got - adjoint_zero_insert(x, w, s, pad, out_hw)), initial=0.0) < 1e-12
+    allocs = [kind for kind, shape in poisoned.calls if shape == (n, ci, *out_hw)]
+    assert allocs[-1] == ("empty" if k >= s else "zeros")
 
 
 # ---------------------------------------------------------------------------
@@ -502,6 +584,106 @@ def test_ops_bitwise_equal_whole_batch_lowering(case, dtype):
             assert a.tobytes() == b.tobytes()
 
 
+@settings(max_examples=200, deadline=None)
+@given(case=adjoint_cases(max_n=4), dtype=st.sampled_from([np.float64, np.float32]),
+       budget=st.sampled_from([0, 1 << 60]))
+@example(case=fixed_case((3, 2, 1, 3), (2, 3, 1, 1), 2, (0, 0), (1, 5)), dtype=np.float32,
+         budget=0)
+@example(case=fixed_case((4, 3, 5, 5), (3, 2, 3, 3), 1, (1, 1), (5, 5)), dtype=np.float32,
+         budget=1 << 60)
+def test_ops_bitwise_equal_at_every_patch_budget(case, dtype, budget):
+    """With ``PATCH_BYTES`` at 0, every batch of more than one sample is
+    unfolded one sample at a time, and with a huge budget every batch at
+    once: conv2d and deconv2d_up, forward and every gradient, give the bits
+    of the whole-batch lowering either way, and ``np.empty`` poisoned with
+    NaN changes none of them."""
+    x, w, stride, pad, out_hw = case
+    x, w = x.astype(dtype), w.astype(dtype)
+    co, ci = w.shape[:2]
+    rng = np.random.default_rng(x.size)
+    u = rng.normal(size=(x.shape[0], ci, *out_hw)).astype(dtype)
+    b_down, b_up = rng.normal(size=co).astype(dtype), rng.normal(size=ci).astype(dtype)
+    up = lambda x, p, tape: deconv2d_up(x, p, out_hw, tape)  # noqa: E731
+    wants = [conv_whole_batch(u, w, b_down, x, stride, pad)]
+    if stride == 2:
+        wants.append(deconv_whole_batch(x, w, b_up, u, pad))
+    with mock.patch.object(ops, "PATCH_BYTES", budget), mock.patch.object(ops, "np", Poisoned()):
+        gots = [op_outputs(conv2d, u, w, b_down, x, stride, pad)]
+        if stride == 2:
+            gots.append(op_outputs(up, x, w, b_up, u, 2, pad))
+    for got, want in zip(gots, wants, strict=True):
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+@st.composite
+def strided_arrays(draw):
+    """A 4-D float array that is often not contiguous: a slice, with steps
+    and offsets, of a larger array, its axes permuted or reversed."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    big = [draw(st.integers(1, 6)) for _ in range(4)]
+    base = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=big).astype(dtype)
+    if draw(st.booleans()):
+        base = base.transpose(draw(st.permutations(range(4))))
+    index = []
+    for d in base.shape:
+        start = draw(st.integers(0, d - 1))
+        step = draw(st.sampled_from([1, 1, 2, -1]))
+        index.append(slice(start, None, step) if step > 0 else slice(start, None, -1))
+    return base[tuple(index)]
+
+
+def foreign_strided(shape, dtype):
+    """A non-contiguous array over a bytearray: no array in its chain of
+    bases is contiguous."""
+    n = int(np.prod(shape))
+    buf = bytearray(np.random.default_rng(3).normal(size=2 * n).astype(dtype).tobytes())
+    item = np.dtype(dtype).itemsize
+    strides = tuple(2 * item * int(np.prod(shape[i + 1:])) for i in range(4))
+    return np.ndarray(shape, dtype, buf, 0, strides)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=strided_arrays(), k=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+       stride=st.sampled_from([1, 2]))
+def test_window_view_equals_as_strided(a, k, stride):
+    """`_windows` builds the window view with ``np.ndarray`` over a's
+    memory: the shape, strides and values ``as_strided`` gives, over the
+    same memory, for contiguous and non-contiguous inputs alike. An input
+    with no contiguous base is copied first."""
+    kh, kw = k
+    assume(a.shape[2] >= kh and a.shape[3] >= kw)
+    want = window_view(a, kh, kw, stride)
+    got = ops._windows(a, kh, kw, stride)
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+    assert got.size == 0 or np.shares_memory(got, a)
+    foreign = foreign_strided(a.shape, a.dtype)
+    got = ops._windows(foreign, kh, kw, stride)
+    assert got.tobytes() == window_view(foreign, kh, kw, stride).tobytes()
+
+
+def test_in_bounds_adjoint_window_is_viewed_without_a_copy(monkeypatch):
+    """The in-bounds window that `_adjoint_corr2d` unfolds for a 1x1
+    kernel at stride 2, a slice of a non-contiguous input, reaches the
+    patch matrix as a view of the input's memory."""
+    x = np.random.default_rng(2).normal(size=(1, 5, 4, 6))[:, 1:4, :, 1:5]
+    assert not x.flags.forc
+    w = np.random.default_rng(3).normal(size=(3, 2, 1, 1))
+    want = adjoint_per_phase(x, w, 2, (0, 0), (7, 7))[0]
+    views = []
+    real = ops._windows
+
+    def spy(*args):
+        views.append(real(*args))
+        return views[-1]
+
+    monkeypatch.setattr(ops, "_windows", spy)
+    assert _adjoint_corr2d(x, w, 2, (0, 0), (7, 7)).tobytes() == want.tobytes()
+    assert [np.shares_memory(v, x) for v in views] == [True]
+
+
 @st.composite
 def unfold_cases(draw):
     """An input, a kernel of side 1, 3 or 5 per axis and its stride and
@@ -538,37 +720,40 @@ def unfold_case(x_shape, k, dtype=np.float32):
 @example(unfold_case((1, 2, 3, 3), 5, np.float64))
 def test_unfold_hands_each_sample_what_the_batch_reshape_would(case):
     """`_unfold` gives the whole-batch reshape of the padded input itself
-    where that reshape is a view or the batch holds one sample. Otherwise
-    it yields one buffer per sample in turn, holding the values, with the
-    strides, of that sample's slice of the reshape's contiguous copy. A
-    "same" stride-1 kernel larger than 1x1 copies from a row-wrapped frame
-    and pads no batch unless it hands over the view."""
+    where that reshape is a view, the batch holds one sample or its patch
+    matrices fit in ``ops.PATCH_BYTES``. Otherwise it yields one buffer per
+    sample in turn, holding the values, with the strides, of that sample's
+    slice of the reshape's contiguous copy. A "same" stride-1 kernel larger
+    than 1x1 copies from a row-wrapped frame and pads no batch unless it
+    hands over the view. Each case runs at the default budget, which every
+    case here fits, and at a budget of 0."""
     x, kh, kw, stride, pad = case
     a = _pad2d(x, *pad)
     want, oh, ow = im2col(a, kh, kw, stride)
     is_view = np.shares_memory(want, a)
-    padded = []
+    for budget in (ops.PATCH_BYTES, 0):
+        padded = []
 
-    def pad2d(*args):
-        padded.append(_pad2d(*args))
-        return padded[-1]
+        def pad2d(*args):
+            padded.append(_pad2d(*args))
+            return padded[-1]
 
-    with mock.patch.object(ops, "_pad2d", pad2d):
-        *hw, cols = ops._unfold(x, kh, kw, stride, pad)
-    assert hw == [oh, ow]
-    same = stride == 1 and kh * kw > 1 and (kh, kw) == (2 * pad[0] + 1, 2 * pad[1] + 1)
-    assert (not padded) == (same and not is_view)
-    if isinstance(cols, np.ndarray):
-        assert is_view or x.shape[0] == 1
-        assert is_view == (bool(padded) and np.shares_memory(cols, padded[-1]))
-        assert cols.strides == want.strides and cols.tobytes() == want.tobytes()
-        return
-    assert not is_view
-    seen = []
-    for i, p in enumerate(cols):
-        assert p.strides == want[i].strides and p.tobytes() == want[i].tobytes()
-        seen.append(p)
-    assert len(seen) == x.shape[0] and all(p is seen[0] for p in seen)
+        with mock.patch.object(ops, "_pad2d", pad2d), mock.patch.object(ops, "PATCH_BYTES", budget):
+            *hw, cols = ops._unfold(x, kh, kw, stride, pad)
+        assert hw == [oh, ow]
+        same = stride == 1 and kh * kw > 1 and (kh, kw) == (2 * pad[0] + 1, 2 * pad[1] + 1)
+        assert (not padded) == (same and not is_view)
+        if isinstance(cols, np.ndarray):
+            assert is_view or x.shape[0] == 1 or want.nbytes <= budget
+            assert is_view == (bool(padded) and np.shares_memory(cols, padded[-1]))
+            assert cols.strides == want.strides and cols.tobytes() == want.tobytes()
+            continue
+        assert not is_view
+        seen = []
+        for i, p in enumerate(cols):
+            assert p.strides == want[i].strides and p.tobytes() == want[i].tobytes()
+            seen.append(p)
+        assert len(seen) == x.shape[0] and all(p is seen[0] for p in seen)
 
 
 @pytest.mark.skipif(np.lib.NumpyVersion(np.__version__) < "2.1.0",
@@ -629,6 +814,29 @@ def test_one_sample_patch_matrix_is_all_the_patch_storage_alive():
     with mock.patch.object(ops, "_unfold", whole_batch_unfold):
         whole = conv_peak(n, c, side)
     assert whole - ours >= 3 * patch - 4096
+
+
+def test_patch_storage_alive_follows_the_budget():
+    """Patch matrices that exceed ``PATCH_BYTES`` are still built one
+    sample at a time: the traced peak of a conv forward and backward equals
+    that at a budget of 0. Ones that fit are built for the whole batch at
+    once, which holds them all but no more than the budget: the peak rises
+    by at most the budget, and by the other n - 1 samples' matrices less up
+    to one output, which the per-sample path allocates before its sample
+    loop and the whole-batch path after its copy. A few small Python
+    objects differ between the two paths; 4 KiB is allowed for them."""
+    n, c, side = 4, 8, 16
+    out = n * c * side * side * np.dtype(np.float32).itemsize
+    patch = 3 * 3 * out // n
+    with mock.patch.object(ops, "PATCH_BYTES", 0):
+        one = conv_peak(n, c, side)
+    with mock.patch.object(ops, "PATCH_BYTES", n * patch - 1):
+        over = conv_peak(n, c, side)
+    with mock.patch.object(ops, "PATCH_BYTES", n * patch):
+        under = conv_peak(n, c, side)
+    assert abs(over - one) <= 4096
+    assert (n - 1) * patch - out - 4096 <= under - one <= n * patch
+    assert n * patch <= ops.PATCH_BYTES  # the default budget takes this whole batch
 
 
 def test_stride_one_conv_frames_one_sample_at_a_time():

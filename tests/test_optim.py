@@ -189,15 +189,37 @@ class TestFlatArena:
             assert same_bits(np.asarray(a), np.asarray(b))
 
     def test_gradient_too_large_to_square_is_finite(self):
-        """1e200 squared overflows the one-pass check; the tensor-by-tensor
-        confirmation finds it finite and the step goes ahead."""
+        """1e200 is finite, but its square overflows: the step would make v
+        infinite and freeze that coordinate for good. It raises naming the
+        tensor, clears every gradient and moves nothing, also at 2 elements
+        a block, where it sits in the second block of its tensor."""
+        for block in (None, 2):
+            rng = np.random.default_rng(5)
+            params = [Tensor(rng.normal(size=s), requires_grad=True) for s in [(3,), (4,)]]
+            opt = blocked_adam(block, [("p", params[0]), ("q", params[1])], lr=0.1)
+            for p in params:
+                p.grad = rng.normal(size=p.shape)
+            opt.step()
+            before = [a.copy() for a in [p.data for p in params] + opt.m + opt.v]
+            params[0].grad = np.array([1.0, -1.0, 0.0])
+            params[1].grad = np.array([0.5, 0.0, -1e200, 2.0])
+            with pytest.raises(GradientError, match="gradient too large to square in q$"):
+                opt.step()
+            assert opt.t == 1 and all(p.grad is None for p in params)
+            after = [p.data for p in params] + opt.m + opt.v
+            assert all(same_bits(a, b) for a, b in zip(before, after))
+
+    def test_squares_whose_sum_overflows_step(self):
+        """Entries of 1e154 square to 1e308, finite, but two of them
+        overflow the one-pass sum: the tensor-by-tensor check finds every
+        square finite and the step goes ahead, as the formula gives it."""
         p = Tensor(np.zeros(3), requires_grad=True)
         opt = Adam([("p", p)], lr=0.1)
-        p.grad = np.array([1e200, -1.0, 0.0])
-        with np.errstate(over="ignore"):  # the square's overflow makes v infinite
-            opt.step()
+        p.grad = np.array([1e154, -1e154, 0.0])
+        opt.step()
         assert opt.t == 1 and p.grad is None
-        assert p.data[0] == p.data[2] == 0.0 and p.data[1] == pytest.approx(0.1)
+        assert p.data[0] == pytest.approx(-0.1) and p.data[1] == pytest.approx(0.1)
+        assert p.data[2] == 0.0 and np.isfinite(opt.v[0]).all()
 
     def test_step_allocates_less_than_a_float64_copy(self):
         """The desk model's step works in buffers allocated once, so its
