@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 import warnings
 
@@ -43,16 +42,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _number(kind, low, strict: bool = False, high=math.inf):
+def _number(kind, low, strict: bool = False):
     """argparse type: a finite ``kind`` of at least ``low`` (above it if
-    ``strict``) and at most ``high``."""
+    ``strict``)."""
     def parse(text: str):
         value = kind(text)
         if not low <= value < math.inf or (strict and value == low):
             bound = "above" if strict else "at least"
             raise argparse.ArgumentTypeError(f"must be finite and {bound} {low}, got {text}")
-        if value > high:
-            raise argparse.ArgumentTypeError(f"must be at most {high}, got {text}")
         return value
     parse.__name__ = kind.__name__  # argparse names it on a ValueError: "invalid int value"
     return parse
@@ -81,8 +78,6 @@ def _build_parser() -> _Parser:
     sp = sub.add_parser("eval", parents=[common],
                         help="evaluate a checkpoint on held-out scenes")
     sp.add_argument("--checkpoint", required=True)
-    sp.add_argument("--threads", type=_number(int, 1, high=os.cpu_count() or 1), default=1,
-                    help="parallel per-image evaluation threads, at most the CPU count")
 
     sp = sub.add_parser("infer", parents=[common], help="segment one PPM image")
     sp.add_argument("--checkpoint", required=True)
@@ -185,8 +180,7 @@ def _cmd_eval(args) -> int:
     scenes = _scenes(cfg, cfg.data.n_eval, info["seed"] + cfg.data.n_train)
     report = evaluate_scenes(model, scenes, scales=cfg.eval.scales,
                              categories=cfg.eval.categories,
-                             ignore_label=cfg.train.ignore_label,
-                             threads=args.threads)
+                             ignore_label=cfg.train.ignore_label)
     _print(report)
     return 0
 

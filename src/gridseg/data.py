@@ -167,12 +167,6 @@ def resize_nearest(arr: np.ndarray, out_hw) -> np.ndarray:
     return np.take(out, _nearest_index(ow, arr.shape[1]), axis=1)
 
 
-def random_patch(scene: Scene, cfg: AugmentConfig, rng) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A scene's image, label map and instance map cropped, rescaled and
-    maybe mirrored together (`augment_patch`)."""
-    return augment_patch(cfg, rng, scene.image, scene.labels, scene.instances)
-
-
 def augment_patch(cfg: AugmentConfig, rng, image: np.ndarray, *maps: np.ndarray) -> tuple:
     """Crop a random square, rescale to out_size, maybe mirror.
 

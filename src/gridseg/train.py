@@ -150,14 +150,15 @@ def train_run(model: GridModel, scenes: list[Scene], augment: AugmentConfig,
     checkpoint lands on that path after every k-th finished epoch, so an
     interrupted run can resume from the most recent boundary. A run stopped
     between an epoch's log line and its snapshot leaves lines the snapshot
-    does not hold, so a resumed run first drops those of epochs
-    ``epochs_done`` on; its log then matches an unbroken run's.
+    does not hold, so every run first drops those of epochs ``epochs_done``
+    on; its log then matches an unbroken run's. A fresh run does so too: one
+    stopped inside its first snapshot has no checkpoint to resume from.
     """
     if not scenes:
         raise ValueError("training needs at least one scene")
     if optim is None:
         optim = make_optimizer(model, cfg)
-    if log_path and epochs_done > 0 and os.path.exists(log_path):
+    if log_path and os.path.exists(log_path):
         _drop_log_lines(log_path, epochs_done)
     records = []
     log = open(log_path, "a") if log_path else None
@@ -194,7 +195,18 @@ def _drop_log_lines(path: str, epochs_done: int) -> None:
         f.writelines(keep)
         f.flush()
         os.fsync(f.fileno())
-    os.replace(f"{path}.tmp", path)
+    _replace_synced(f"{path}.tmp", path)
+
+
+def _replace_synced(tmp: str, path: str) -> None:
+    """Rename ``tmp`` over ``path``, then sync the directory: the rename
+    lives there, and without the sync a crash can lose it."""
+    os.replace(tmp, path)
+    fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 # ---------------------------------------------------------------------------
@@ -238,13 +250,7 @@ def save_checkpoint(path: str, model: GridModel, optim: Adam, train_seed: int,
                 f.write(np.ascontiguousarray(arr, dtype).tobytes())
             f.flush()
             os.fsync(f.fileno())
-        os.replace(tmp, path)
-        # the rename lives in the directory: sync it too, or a crash can lose it
-        fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        _replace_synced(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.remove(tmp)

@@ -1,7 +1,6 @@
 """End-to-end command line tests, run in process via cli.main."""
 
 import json
-import os
 import typing
 from pathlib import Path
 
@@ -72,7 +71,7 @@ class TestTrainEvalInfer:
         assert [l["epoch"] for l in lines] == [0, 1]
 
         code, out, _ = run(capsys, "eval", "--config", tiny_config,
-                           "--checkpoint", ckpt, "--threads", str(min(2, os.cpu_count() or 1)))
+                           "--checkpoint", ckpt)
         assert code == 0
         report = json.loads(out)
         assert report["n_scenes"] == 3
@@ -156,10 +155,12 @@ class TestTrainEvalInfer:
         for (n, p), (_, q) in zip(a.named_parameters(), b.named_parameters()):
             assert np.array_equal(p.data, q.data), n
 
+    @pytest.mark.parametrize("stop_in", [1, 2], ids=["save1", "save2"])
     def test_resume_after_a_stop_between_log_line_and_snapshot(self, capsys, tmp_path,
-                                                               monkeypatch):
-        """A run stopped inside its epoch-1 snapshot, after that epoch's log
-        line, resumes to the unbroken run's log and checkpoint, byte for byte."""
+                                                               monkeypatch, stop_in):
+        """A run stopped inside a snapshot, after that epoch's log line, is run
+        again (resumed from the last snapshot, or afresh when none was saved)
+        to the unbroken run's log and checkpoint, byte for byte."""
         import gridseg.train
 
         config = tmp_path / "run.json"
@@ -171,23 +172,28 @@ class TestTrainEvalInfer:
 
         save, calls = gridseg.train.save_checkpoint, []
 
-        def stop_in_second_save(*args, **kwargs):
+        def stop_in_save(*args, **kwargs):
             calls.append(kwargs["epochs_done"])
-            if len(calls) == 2:
+            if len(calls) == stop_in:
                 raise SystemExit("stopped")
             save(*args, **kwargs)
 
         ckpt, log = tmp_path / "run.grdn", tmp_path / "run.log"
         argv = ["train", "--config", str(config), "--checkpoint", str(ckpt), "--log", str(log)]
         with monkeypatch.context() as patch:
-            patch.setattr(gridseg.train, "save_checkpoint", stop_in_second_save)
+            patch.setattr(gridseg.train, "save_checkpoint", stop_in_save)
             with pytest.raises(SystemExit):
                 main(argv)
-        assert calls == [1, 2]
-        assert [json.loads(line)["epoch"] for line in log.read_text().splitlines()] == [0, 1]
-        assert load_checkpoint(str(ckpt))[2]["epochs_done"] == 1
-        code, out, _ = run(capsys, *argv, "--resume", str(ckpt))
-        assert code == 0 and json.loads(out)["epochs_run"] == 2
+        assert calls == list(range(1, stop_in + 1))
+        epochs = [json.loads(line)["epoch"] for line in log.read_text().splitlines()]
+        assert epochs == list(range(stop_in))
+        if stop_in == 1:  # no snapshot exists, so the run starts over
+            assert not ckpt.exists()
+        else:
+            assert load_checkpoint(str(ckpt))[2]["epochs_done"] == stop_in - 1
+            argv += ["--resume", str(ckpt)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and json.loads(out)["epochs_run"] == 3 - (stop_in - 1)
         assert log.read_bytes() == straight_log.read_bytes()
         assert ckpt.read_bytes() == straight.read_bytes()
 
@@ -491,16 +497,14 @@ class TestExitCodes:
         (["report", "--input-size", "2.5"], "--input-size: invalid int value"),
         (["report", "--seed", "x"], "--seed: invalid int value"),
         (["train", "--epochs", "-1"], "--epochs: must be finite and at least 0"),
-        (["eval", "--checkpoint", "m.grdn", "--threads", "0"],
-         "--threads: must be finite and at least 1"),
+        (["eval", "--checkpoint", "m.grdn", "--threads", "2"],
+         "unrecognized arguments: --threads 2"),
         (["gradcheck", "--coords", "0"], "--coords: must be finite and at least 1"),
         (["gradcheck", "--coords", "-3"], "--coords: must be finite and at least 1"),
         (["gradcheck", "--tol", "nan"], "--tol: must be finite and above 0"),
         (["gradcheck", "--tol", "inf"], "--tol: must be finite and above 0"),
         (["gradcheck", "--tol", "0"], "--tol: must be finite and above 0"),
         (["gradcheck", "--tol", "x"], "--tol: invalid float value"),
-        (["eval", "--checkpoint", "m.grdn", "--threads", str((os.cpu_count() or 1) + 1)],
-         f"--threads: must be at most {os.cpu_count() or 1}"),
         (["report", "--input-size", "3"], "--input-size: must be at least the grid's minimum "
                                           "side 16, got 3"),
     ])

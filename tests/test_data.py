@@ -6,11 +6,11 @@ import pytest
 from gridseg.data import (
     AugmentConfig,
     Scene,
+    augment_patch,
     class_palette,
     generate_dataset,
     generate_scene,
     load_image,
-    random_patch,
     read_pgm,
     read_ppm,
     render_class_map,
@@ -136,14 +136,16 @@ class TestRandomPatch:
 
     def test_deterministic_under_same_state(self):
         scene = generate_scene(5)
-        a = random_patch(scene, self.CFG, np.random.default_rng(9))
-        b = random_patch(scene, self.CFG, np.random.default_rng(9))
+        maps = scene.image, scene.labels, scene.instances
+        a = augment_patch(self.CFG, np.random.default_rng(9), *maps)
+        b = augment_patch(self.CFG, np.random.default_rng(9), *maps)
         for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
     def test_output_shapes(self):
         scene = generate_scene(6)
-        image, labels, instances = random_patch(scene, self.CFG, np.random.default_rng(0))
+        image, labels, instances = augment_patch(self.CFG, np.random.default_rng(0), scene.image,
+                                                 scene.labels, scene.instances)
         assert image.shape == (64, 64, 3) and image.dtype == np.float32
         assert labels.shape == (64, 64) and instances.shape == (64, 64)
 
@@ -158,7 +160,7 @@ class TestRandomPatch:
                 return 1.0  # never below hflip_p, so no flip
 
         cfg = AugmentConfig(crop_min=128, crop_max=128, out_size=64, hflip_p=0.5)
-        image, labels, _ = random_patch(scene, cfg, Fixed())
+        image, labels, _ = augment_patch(cfg, Fixed(), scene.image, scene.labels, scene.instances)
         assert np.allclose(image, resize_bilinear(scene.image, (64, 64)), atol=1e-6)
         assert np.array_equal(labels, resize_nearest(scene.labels, (64, 64)))
 
@@ -177,8 +179,9 @@ class TestRandomPatch:
                 return 1.0
 
         cfg = AugmentConfig(crop_min=64, crop_max=64, out_size=32)
-        fi, fl, fn = random_patch(scene, cfg, Flip())
-        ni, nl, nn = random_patch(scene, cfg, NoFlip())
+        maps = scene.image, scene.labels, scene.instances
+        fi, fl, fn = augment_patch(cfg, Flip(), *maps)
+        ni, nl, nn = augment_patch(cfg, NoFlip(), *maps)
         assert np.array_equal(fi, ni[:, ::-1])
         assert np.array_equal(fl, nl[:, ::-1])
         assert np.array_equal(fn, nn[:, ::-1])
@@ -186,7 +189,8 @@ class TestRandomPatch:
     def test_crop_larger_than_scene_rejected(self):
         scene = generate_scene(9, width=32, height=32)
         with pytest.raises(ValueError, match="crop_min"):
-            random_patch(scene, AugmentConfig(64, 64, 16), np.random.default_rng(0))
+            augment_patch(AugmentConfig(64, 64, 16), np.random.default_rng(0), scene.image,
+                          scene.labels, scene.instances)
 
 
 class TestImageIO:
