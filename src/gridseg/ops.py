@@ -64,6 +64,24 @@ read it: see `batch_norm`); relu's output, whose sign gives the mask;
 softmax's exponentials and their sums.
 Everything else, such as a conv's output or the inputs of batch norm, add
 and concat, is freed during the forward pass once the caller drops it.
+
+The loss gradient holds no subnormal number: `softmax_cross_entropy`
+sets every entry smaller in magnitude than the smallest normal value of
+the logits' dtype to zero. Once a pixel is confident, the gradient of
+its other classes (a softmax over the count of labelled pixels)
+underflows float32 into the subnormal range, and an x86 core takes a
+slow microcode assist on every subnormal operand, so those entries would
+slow each product of the backward pass that reads them: the head's, the
+concat projection's, the stride-2 1x1 shortcut's and the stream
+convolutions'. The entries are smaller than 2**-126 and meet terms many
+orders larger, so dropping them leaves training results as they were,
+save where one would have broken a rounding tie: where the other terms
+of a sum land exactly halfway between two floats, any nonzero addend
+picks the side, so the sum's last bit, and from there the run's, can
+change. The flush is written on the array, not as a process-wide flush-
+to-zero mode: BLAS worker threads keep their own floating-point control
+word, so such a mode could make a result depend on which thread computed
+a block.
 """
 
 from __future__ import annotations
@@ -676,6 +694,15 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_label: int 
 
     labels: integer (n, h, w); positions equal to ignore_label contribute
     neither to the mean nor to the gradient.
+
+    The gradient is rounded once to the logits' dtype, and every entry
+    that is then subnormal in that dtype (smaller in magnitude than
+    ``np.finfo(dtype).tiny``) is set to zero; every other entry keeps its
+    bits. The entry of a confident pixel's other class, its softmax
+    over the count of labelled pixels, underflows float32 once the logit
+    gap passes about 87.3 - ln(count) (77.6 at 16,384 pixels), and the
+    backward products would pay a slow assist on each such operand (see
+    the module docstring for what the flush may change).
     """
     z = logits.data
     if z.ndim != 4:
@@ -709,6 +736,8 @@ def softmax_cross_entropy(logits: Tensor, labels: np.ndarray, ignore_label: int 
         # rounded once to the logits' dtype, with the bits of adding dz into
         # a zeroed slot: +0.0 turns -0.0 into 0.0 as the zeros did. The
         # dtype comes from ez so that the map does not hold the logits
-        return np.add(dz, 0.0, dtype=ez.dtype, casting="same_kind")
+        dz = np.add(dz, 0.0, dtype=ez.dtype, casting="same_kind")
+        dz[np.abs(dz) < np.finfo(dz.dtype).tiny] = 0  # subnormals flushed
+        return dz
 
     return _result(np.asarray(loss, dtype=z.dtype), (logits,), tape, tape and (dlogits,))

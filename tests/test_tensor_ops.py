@@ -706,6 +706,49 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError, match="ignored"):
             softmax_cross_entropy(z, labels)
 
+    @staticmethod
+    def _saturated(dtype):
+        """Logits whose label class leads every other class by 80 to 116,
+        with three ignored pixels."""
+        rng = np.random.default_rng(12)
+        labels = rng.integers(0, 5, (2, 8, 8))
+        z = rng.uniform(-3.0, 3.0, (2, 5, 8, 8))
+        lead = z.max(axis=1) + rng.uniform(80.0, 110.0, (2, 8, 8))
+        np.put_along_axis(z, labels[:, None], lead[:, None], axis=1)
+        labels[0, 0, :3] = 255
+        return z.astype(dtype), labels
+
+    def test_subnormal_gradient_entries_are_flushed(self):
+        z, labels = self._saturated(np.float32)
+        want = _unflushed_dlogits(z, labels)
+        subnormal = _subnormal(want)
+        assert subnormal.any()  # the reference holds subnormals to flush
+        got = _loss_grad(z, labels)
+        assert got.dtype == np.float32 and not _subnormal(got).any()
+        assert np.all(got[subnormal] == 0)
+        assert got[~subnormal].tobytes() == want[~subnormal].tobytes()
+        assert np.array_equal(got[0, :, 0, :3], np.zeros((5, 3)))
+        assert not np.signbit(got[0, :, 0, :3]).any()
+
+    def test_float64_gradient_is_unflushed(self):
+        z, labels = self._saturated(np.float64)
+        want = _unflushed_dlogits(z, labels)
+        got = _loss_grad(z, labels)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_saturated_grid_backward_holds_no_subnormal_loss_gradient(self):
+        model = build_grid(CONCAT, (16, 16), seed=3)
+        model.head.weight.data *= 400
+        x = np.random.default_rng(5).normal(size=(2, 3, 16, 16)).astype(np.float32)
+        labels = np.random.default_rng(6).integers(0, 4, (2, 16, 16))
+        tape = Tape()
+        logits = model.forward(x, training=True, tape=tape)
+        assert _subnormal(_unflushed_dlogits(logits.data, labels)).any()
+        backward(tape, softmax_cross_entropy(logits, labels, tape=tape))
+        assert logits.grad.dtype == np.float32 and not _subnormal(logits.grad).any()
+        for name, p in model.named_parameters():
+            assert p.grad is not None and np.all(np.isfinite(p.grad)), name
+
 
 # ---------------------------------------------------------------------------
 # tape mechanics
@@ -889,6 +932,23 @@ class TestRecordingRule:
 # ---------------------------------------------------------------------------
 # gradient slots
 # ---------------------------------------------------------------------------
+
+def _unflushed_dlogits(z, labels):
+    """The mean cross-entropy's gradient at logits ``z``, softmax times
+    valid/count less that factor at the label, rounded once to z's dtype
+    with no entry flushed."""
+    valid = labels != 255
+    ez = np.exp(z - z.max(axis=1, keepdims=True))
+    scale = (valid / valid.sum())[:, None]
+    dz = ez / ez.sum(axis=1, keepdims=True) * scale
+    idx = np.where(valid, labels, 0)[:, None]
+    np.put_along_axis(dz, idx, np.take_along_axis(dz, idx, axis=1) - scale, axis=1)
+    return np.add(dz, 0.0, dtype=z.dtype, casting="same_kind")
+
+
+def _subnormal(a):
+    return (a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)
+
 
 def _loss_grad(y, labels):
     """Gradient of the mean cross-entropy at logits ``y``, taken through a leaf."""
