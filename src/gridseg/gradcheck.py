@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -15,20 +15,10 @@ class GradcheckReport:
     mean_rel_error: float
     checked: int
     skipped: int
-    worst: tuple[str, int, float, float] | None = None  # (param, flat index, analytic, numeric)
+    worst: dict | None = None  # param, index (flat), analytic, numeric
 
     def to_dict(self) -> dict:
-        worst = None
-        if self.worst is not None:
-            name, idx, ana, num = self.worst
-            worst = {"param": name, "index": idx, "analytic": ana, "numeric": num}
-        return {
-            "max_rel_error": self.max_rel_error,
-            "mean_rel_error": self.mean_rel_error,
-            "checked": self.checked,
-            "skipped": self.skipped,
-            "worst": worst,
-        }
+        return asdict(self)
 
 
 def finite_diff_gradcheck(loss_fn, named_params, n_coords: int = 50,
@@ -57,9 +47,8 @@ def finite_diff_gradcheck(loss_fn, named_params, n_coords: int = 50,
     picks = rng.choice(total, size=min(n_coords, total), replace=False)
 
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    rel_errs = []
+    rows = []  # (relative error, report dict) per checked coordinate
     skipped = 0
-    worst = None
     for flat in sorted(int(v) for v in picks):
         pi = int(np.searchsorted(offsets, flat, side="right") - 1)
         name, p = named_params[pi]
@@ -76,17 +65,10 @@ def finite_diff_gradcheck(loss_fn, named_params, n_coords: int = 50,
         num = (f_plus - f_minus) / (2.0 * step)
         ana = float(p.grad.flat[idx]) if p.grad is not None else 0.0
         rel = abs(ana - num) / max(abs(ana), abs(num), 1e-8)
-        rel_errs.append(rel)
-        if worst is None or rel > worst[0]:
-            worst = (rel, name, idx, ana, num)
+        rows.append((rel, {"param": name, "index": idx, "analytic": ana, "numeric": num}))
 
-    if not rel_errs:
+    if not rows:
         return GradcheckReport(0.0, 0.0, 0, skipped)
-    _, wname, widx, wana, wnum = worst
-    return GradcheckReport(
-        max_rel_error=float(max(rel_errs)),
-        mean_rel_error=float(np.mean(rel_errs)),
-        checked=len(rel_errs),
-        skipped=skipped,
-        worst=(wname, widx, wana, wnum),
-    )
+    max_rel, worst = max(rows, key=lambda r: r[0])  # the first maximum
+    return GradcheckReport(max_rel, float(np.mean([rel for rel, _ in rows])), len(rows),
+                           skipped, worst)

@@ -17,7 +17,6 @@ and lets the scales vote per pixel; ties go to the lowest class id.
 
 from __future__ import annotations
 
-import math
 import warnings
 
 import numpy as np
@@ -127,18 +126,14 @@ class InstanceScore:
         cls, size, row, inside = _instances(truth, instances, self.num_classes,
                                             self.ignore_label)
         hits = np.bincount(row[pred[inside] == cls[row]], minlength=cls.size)
-        # one instance at a time, in id order, each sum in float64: the
-        # same roundings as ever, so reports stay bit-identical
-        avg, tp, fn = self.avg_sizes.tolist(), self.tp.tolist(), self.fn.tolist()
-        present = size > 0
-        for c, n, h in zip(cls[present].tolist(), size[present].tolist(),
-                           hits[present].tolist()):
-            if not math.isnan(avg[c]):
-                w = avg[c] / n
-                tp[c] += w * h
-                fn[c] += w * (n - h)
-        self.tp[:] = tp
-        self.fn[:] = fn
+        avg = self.avg_sizes[cls]
+        keep = (size > 0) & ~np.isnan(avg)
+        cls, n, h = cls[keep], size[keep], hits[keep]
+        w = avg[keep] / n
+        # np.add.at is unbuffered and adds in index order: one instance at a
+        # time, in id order, each sum in float64, so reports stay bit-identical
+        np.add.at(self.tp, cls, w * h)
+        np.add.at(self.fn, cls, w * (n - h))
 
     def iiou(self) -> np.ndarray:
         return np.where(np.isnan(self.avg_sizes), np.nan, _ratio(self.tp, self.fp, self.fn))

@@ -54,9 +54,9 @@ same order, which OpenBLAS runs up to twice as fast.
 Every op states one gradient map per input, from the output gradient
 to that input's gradient, and hands them to `_result`, the one place
 where the rule for recording an op's backward on the tape is written.
-A recorded backward holds the gradient slots of its op's inputs and
-output (:class:`gridseg.tensor.GradSlot`) and, through its maps, only
-the arrays they read: a conv's or transposed conv's input, for the
+A recorded backward holds the gradient slots of its op's output and of
+the inputs that take a gradient (:class:`gridseg.tensor.GradSlot`) and,
+through those inputs' maps, only the arrays they read: a conv's or transposed conv's input, for the
 weight gradient (and the parameters, which the model holds anyway);
 batch norm's centred input and inverse deviation (one centred input may
 serve the closures of two batch norms over the same tensor, which only
@@ -101,45 +101,34 @@ def _result(y: np.ndarray, inputs, tape: Tape | None, grads) -> Tensor:
     """``Tensor(y)`` for an op over ``inputs``, its backward recorded on ``tape``.
 
     ``grads[k]`` maps the output gradient to the gradient of ``inputs[k]``;
-    ops pass ``tape and (...)``, so an untaped call builds no maps, and its
-    output takes no gradient: no recorded op could carry one through it. Nothing
-    runs when the output got no gradient, and the maps run in input order,
-    each only for an input that needs a gradient. An empty gradient slot
-    keeps its first contribution as its own array (see
-    :meth:`Tensor.accumulate_grad`), so maps that share an array read it
-    before the slot that keeps it, and only the first input handed the
-    output gradient itself (`add`) may keep it: no two slots share an array.
+    ops pass ``tape and (...)``, so an untaped call builds no maps. The
+    recording rule:
 
-    The recorded closure holds the inputs' and the output's gradient slots,
-    not the tensors, so it keeps ``y`` and the inputs' values alive only
-    where a map reads them; maps must read arrays, not the tensors of
-    ``inputs`` (a parameter tensor, held by its model anyway, is the
-    exception).
+    - which inputs take a gradient is read when the op is recorded, and
+      only their (gradient slot, map) pairs are kept; with none, nothing
+      is recorded and the output takes no gradient;
+    - each map hands its input an array that no other slot holds, as an
+      empty slot keeps its first contribution (:meth:`Tensor.accumulate_grad`):
+      `add`'s first map returns the output gradient itself, its second a copy.
+
+    The closure runs the kept maps in input order, once the output has a
+    gradient; maps that share work (`_transposed_grads`, `_batch_norm_grads`)
+    rely on that order. It holds slots, not tensors, so it keeps ``y`` and
+    the inputs' values alive only where a kept map reads them; maps must
+    read arrays, not the tensors of ``inputs`` (a parameter tensor, held by
+    its model anyway, is the exception).
     """
-    out = Tensor(y)
-    if tape is None:  # nothing is recorded that could carry a gradient through out
-        return out
-    slot = out.slot
-    for t in inputs:
-        if t.slot.requires_grad:
-            slot.requires_grad = True
-            break
-    if slot.requires_grad:
-        slots = [t.slot for t in inputs]
+    pairs = [] if tape is None else [(t.slot, grad) for t, grad in zip(inputs, grads)
+                                     if t.requires_grad]
+    out = Tensor(y, requires_grad=bool(pairs))
+    if pairs:
+        slot = out.slot
 
         def _bwd():
             g = slot.grad
-            if g is None:
-                return
-            accumulate = Tensor.accumulate_grad
-            kept = False  # whether a slot now holds g itself
-            for s, grad in zip(slots, grads):
-                if s.requires_grad:
-                    d = grad(g)
-                    if d is g and kept and s.grad is None:
-                        d = g.copy()
-                    accumulate(s, d)
-                    kept = kept or s.grad is g
+            if g is not None:
+                for s, grad in pairs:
+                    Tensor.accumulate_grad(s, grad(g))
 
         tape.record(_bwd)
     return out
@@ -436,11 +425,11 @@ def _transposed_grads(x: np.ndarray, w: Tensor, k: np.ndarray, stride: int, pad)
     unfolded once and no G_n outlives the op's backward.
     """
     kh, kw = k.shape[2:]
+    right = x if w.requires_grad else None  # read at record time, as `_result` does
     held = []
 
     def dx(g):
-        d, dk = _patch_products(g, kh, kw, stride, pad, k.reshape(k.shape[0], -1),
-                                x if w.requires_grad else None)
+        d, dk = _patch_products(g, kh, kw, stride, pad, k.reshape(k.shape[0], -1), right)
         held.append(dk)  # None where w takes no gradient, so the w map never runs
         return d
 
@@ -668,7 +657,7 @@ def relu(x: Tensor, tape: Tape | None = None) -> Tensor:
 def add(a: Tensor, b: Tensor, tape: Tape | None = None) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    return _result(a.data + b.data, (a, b), tape, tape and (lambda g: g,) * 2)
+    return _result(a.data + b.data, (a, b), tape, tape and (lambda g: g, lambda g: g.copy()))
 
 
 def concat_channels(xs: list[Tensor], tape: Tape | None = None) -> Tensor:

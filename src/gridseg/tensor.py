@@ -8,24 +8,28 @@ order. Because every closure *adds* into its inputs' gradient slots, a
 value consumed by several later operations accumulates all of its
 gradient contributions before its own producer runs.
 
-An empty gradient slot keeps its first contribution as its own array
-and adds later ones into it in place (:meth:`Tensor.accumulate_grad`);
-:func:`gridseg.ops._result` states which arrays an op may hand over. A
-slot may so hold, and later overwrite, an output gradient that a
-consumer has finished with, so after :func:`backward` only leaves
-(parameters and inputs) promise a meaningful ``grad``.
+Recording rule (written in :func:`gridseg.ops._result`): which inputs
+take a gradient is read when an op is recorded, and only those get a
+map; an op over none records nothing, and its output takes no gradient.
+Each map hands its input an array that no other slot holds: an empty
+gradient slot keeps its first contribution as its own array and adds
+later ones into it in place (:meth:`Tensor.accumulate_grad`). A slot may
+so hold, and later overwrite, an output gradient that its op's closure
+has finished with, so after :func:`backward` only leaves (parameters and
+inputs) promise a meaningful ``grad``.
 
 Lifetime rule: a tensor's gradient slot (:class:`GradSlot`: ``grad``,
 ``requires_grad``, shape and dtype) is an object of its own, apart from
-its ``data``. A backward closure holds the slots of its op's inputs and
-output, and of arrays only those its gradient maps read (see
-:func:`gridseg.ops._result`). Every other activation is freed during the
-forward pass once the caller drops its tensor. :func:`backward` drops
-each closure as soon as it has run, so a saved array, an output slot and
-the gradient in it are freed once the last closure that holds them has
-run. After :func:`backward` only leaves and the tensors the caller still
-holds keep a ``grad`` at all (a meaningful one only on leaves, as above),
-and the spent tape holds no closures.
+its ``data``. A backward closure holds the slots of its op's output and
+of the inputs that take a gradient, and of arrays only those inputs'
+gradient maps read (see :func:`gridseg.ops._result`). Every other
+activation is freed during the forward pass once the caller drops its
+tensor. :func:`backward` drops each closure as soon as it has run, so a
+saved array, an output slot and the gradient in it are freed once the
+last closure that holds them has run. After :func:`backward` only leaves
+and the tensors the caller still holds keep a ``grad`` at all (a
+meaningful one only on leaves, as above), and the spent tape holds no
+closures.
 
 A tape also keeps, in :attr:`Tape.moments`, the batch moments of each
 value that a training-mode batch norm has normalized on it, keyed by the
@@ -81,10 +85,6 @@ class Tensor:
     def requires_grad(self) -> bool:
         return self.slot.requires_grad
 
-    @requires_grad.setter
-    def requires_grad(self, flag: bool) -> None:
-        self.slot.requires_grad = bool(flag)
-
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
@@ -101,10 +101,11 @@ class Tensor:
         """Add the contribution ``g`` into this tensor's gradient slot.
 
         An empty slot keeps ``g`` itself when it is writeable and its
-        dtype and shape match the tensor's; the caller hands over ``g``
-        and must not let any other slot hold it. Otherwise the slot starts
-        at zero in the tensor's dtype and ``g`` is added, which rounds a
-        float64 contribution to a float32 tensor once.
+        dtype and shape match the tensor's; so, by the recording rule of
+        the module docstring, the caller hands over an array that no other
+        slot holds. Otherwise the slot starts at zero in the tensor's dtype
+        and ``g`` is added, which rounds a float64 contribution to a
+        float32 tensor once.
 
         ``self`` may also be a bare :class:`GradSlot`: backward closures
         hold slots, not tensors, and call ``Tensor.accumulate_grad(slot,

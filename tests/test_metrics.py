@@ -1,5 +1,6 @@
 """Metric oracles: set-based IoU, hand-worked instance weighting, voting."""
 
+import math
 import types
 import warnings
 
@@ -14,6 +15,7 @@ from gridseg.metrics import (
     CategoryMap,
     ConfusionMatrix,
     InstanceScore,
+    _instances,
     evaluate_scenes,
     instance_average_sizes,
     multiscale_predict,
@@ -205,6 +207,25 @@ def _per_instance_masks(truth, instances, pred, avg_sizes, tp, fn, ignore=255):
     return found
 
 
+def _per_instance_loop(score, truth, instances, pred):
+    """Reference: ``InstanceScore.update`` as a loop over the instances, in
+    id order, adding Python floats (float64) into each class's tp and fn."""
+    wrong = (truth != score.ignore_label) & (pred != truth)
+    score.fp += np.bincount(pred[wrong], minlength=score.num_classes)
+    cls, size, row, inside = _instances(truth, instances, score.num_classes,
+                                        score.ignore_label)
+    hits = np.bincount(row[pred[inside] == cls[row]], minlength=cls.size)
+    avg, tp, fn = score.avg_sizes.tolist(), score.tp.tolist(), score.fn.tolist()
+    present = size > 0
+    for c, n, h in zip(cls[present].tolist(), size[present].tolist(), hits[present].tolist()):
+        if not math.isnan(avg[c]):
+            w = avg[c] / n
+            tp[c] += w * h
+            fn[c] += w * (n - h)
+    score.tp[:] = tp
+    score.fn[:] = fn
+
+
 @st.composite
 def labelled_scenes(draw):
     """(num_classes, [(truth, instances, pred)]) with ignored pixels, tied
@@ -240,6 +261,22 @@ class TestInstanceTable:
         want = np.divide(pixels, counts, out=np.full(num_classes, np.nan), where=counts > 0)
         assert avg.tobytes() == want.tobytes()
         assert got.tp.tobytes() == tp.tobytes() and got.fn.tobytes() == fn.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(labelled_scenes(), st.integers(0, 2**32 - 1))
+    def test_bit_equal_to_the_per_instance_loop(self, case, seed):
+        # average sizes drawn apart from the scenes, some NaN, so that the
+        # weights are not integers and every class sum rounds
+        num_classes, images = case
+        rng = np.random.default_rng(seed)
+        avg = rng.uniform(0.5, 50.0, num_classes)
+        avg[rng.random(num_classes) < 0.3] = np.nan
+        got, want = InstanceScore(num_classes, avg), InstanceScore(num_classes, avg)
+        for truth, instances, pred in images:
+            got.update(truth, instances, pred)
+            _per_instance_loop(want, truth, instances, pred)
+        for a, b in ((got.tp, want.tp), (got.fn, want.fn), (got.fp, want.fp)):
+            assert a.tobytes() == b.tobytes()
 
     def test_truth_label_outside_the_classes_rejected(self):
         scene = Scene(np.zeros((1, 2, 3)), np.array([[0, 4]]), np.ones((1, 2), int), 0)

@@ -1,5 +1,6 @@
 """Forward-op tests against brute-force oracles and frozen hand values."""
 
+import types
 import weakref
 
 import numpy as np
@@ -878,6 +879,47 @@ def _record_each_op(tape, rng):
             x_bn, bn.gamma, bn.beta, x_relu, a, b, c, d]
 
 
+def _held(closure):
+    """Every object a recorded closure reaches through closure cells,
+    default arguments, containers and tensors (not through globals)."""
+    seen, stack = {}, [closure]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen[id(obj)] = obj
+        if isinstance(obj, types.FunctionType):
+            stack += [cell.cell_contents for cell in obj.__closure__ or ()]
+            stack += obj.__defaults__ or ()
+        elif isinstance(obj, (list, tuple)):
+            stack += obj
+        elif isinstance(obj, dict):
+            stack += obj.values()
+        elif isinstance(obj, Tensor):
+            stack += [obj.slot, obj.data]
+    return seen
+
+
+def _one_op_without_grad(name, rng):
+    """(tape, output, first input, other inputs) of op ``name`` recorded on
+    a fresh tape, whose first input takes no gradient."""
+    def t(*shape, grad=True):
+        return Tensor(rng.normal(size=shape), requires_grad=grad)
+
+    tape = Tape()
+    x = t(2, 2, 4, 4, grad=False)
+    if name == "conv2d":
+        conv = make_conv(rng.normal(size=(2, 2, 3, 3)), np.zeros(2), 1, (1, 1))
+        return tape, conv2d(x, conv, tape), x, [conv.weight, conv.bias]
+    if name == "deconv2d_up":
+        up = make_conv(rng.normal(size=(2, 2, 3, 3)), np.zeros(2), 2, (1, 1))
+        return tape, deconv2d_up(x, up, (8, 8), tape), x, [up.weight, up.bias]
+    other = t(2, 2, 4, 4)
+    if name == "add":
+        return tape, add(x, other, tape), x, [other]
+    return tape, concat_channels([x, other], tape), x, [other]
+
+
 class TestRecordingRule:
     def test_input_without_grad_costs_no_adjoint(self, monkeypatch):
         """A conv or transposed conv over an input that takes no gradient
@@ -927,6 +969,58 @@ class TestRecordingRule:
         backward(tape, loss)
         assert z.grad is not None
         assert all(t.grad is None for t in inputs)
+
+    @pytest.mark.parametrize("name", ["conv2d", "deconv2d_up", "add", "concat_channels"])
+    def test_closure_keeps_no_slot_of_an_input_without_grad(self, name):
+        """Which inputs take a gradient is read when the op is recorded: the
+        closure holds the slots of the output and of the other inputs, and
+        none of the input that takes no gradient."""
+        tape, out, x, others = _one_op_without_grad(name, np.random.default_rng(23))
+        assert out.requires_grad and len(tape._nodes) == 1
+        held = _held(tape._nodes[0])
+        assert id(x.slot) not in held
+        assert all(id(t.slot) in held for t in [out, *others])
+
+    def test_op_over_inputs_without_grad_records_nothing(self):
+        tape = Tape()
+        x = Tensor(np.ones((1, 1, 2, 2)))
+        assert not add(relu(x, tape), x, tape).requires_grad
+        assert tape._nodes == []
+
+    def test_add_with_one_input_without_grad(self):
+        """Only b takes a gradient: b gets the output gradient in an array of
+        its own, not the output's slot array."""
+        rng = np.random.default_rng(24)
+        a, b = Tensor(rng.normal(size=(2, 2, 2, 2))), Tensor(rng.normal(size=(2, 2, 2, 2)),
+                                                                requires_grad=True)
+        labels = TestGradientSlots.LABELS
+        tape = Tape()
+        s = add(a, b, tape)
+        backward(tape, softmax_cross_entropy(s, labels, tape=tape))
+        assert a.grad is None
+        assert np.array_equal(b.grad, _loss_grad(s.data, labels))
+        assert not np.shares_memory(b.grad, s.grad)
+
+    def test_add_of_a_tensor_to_itself_shares_no_array(self, monkeypatch):
+        """add(a, a): a's slot keeps the first map's output gradient, and the
+        second map hands over a copy, so the array is never added into itself."""
+        a = Tensor(np.random.default_rng(25).normal(size=(2, 2, 2, 2)), requires_grad=True)
+        labels = TestGradientSlots.LABELS
+        tape = Tape()
+        s = add(a, a, tape)
+        g = _loss_grad(s.data, labels)
+        real, contributions = Tensor.accumulate_grad, []
+
+        def accumulate(slot, d):
+            contributions.append((slot.grad, d))
+            real(slot, d)
+
+        monkeypatch.setattr(Tensor, "accumulate_grad", accumulate)
+        backward(tape, softmax_cross_entropy(s, labels, tape=tape))
+        assert np.array_equal(a.grad, 2 * g)
+        (_, loss_grad), (_, first), (held, second) = contributions  # into s, then twice into a
+        assert held is first is loss_grad
+        assert not np.shares_memory(first, second)
 
 
 # ---------------------------------------------------------------------------
