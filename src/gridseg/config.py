@@ -11,9 +11,11 @@ the grid's classes in exactly one category, ``augment.out_size`` must
 reach the grid's minimum input side, ``augment.crop_min`` must fit
 inside the generated scenes, ``data.max_shapes`` must lie in
 [``grid.num_classes`` - 1, 255] so that every class can appear in a
-scene, and ``grid.mask`` must name a preset that can be built for the
-grid. Sections may be given partially; missing fields keep their
-defaults.
+scene, ``train.ignore_label`` must lie outside [0, ``grid.num_classes``)
+so that every class is trained and scored, ``seed`` must lie in [0,
+2**128) (``train.SEED_LIMIT``), and ``grid.mask`` must name a preset
+that can be built for the grid. Sections may be given partially;
+missing fields keep their defaults.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import typing
 from dataclasses import dataclass, field, fields
 
 from .data import AugmentConfig
-from .grid import GridSpec, preset_mask, symmetric_columns
+from .grid import GridSpec, symmetric_columns
 from .metrics import CategoryMap
-from .train import TrainConfig
+from .train import SEED_LIMIT, TrainConfig
 
 
 class ConfigError(ValueError):
@@ -82,6 +84,11 @@ class RunConfig:
     eval: EvalConfig = EvalConfig()
     seed: int = 0
 
+    def __post_init__(self):  # runs for dataclasses.replace too, as for a --seed override
+        if not _fits(self.seed, int) or not 0 <= self.seed < SEED_LIMIT:
+            raise ConfigError(f"seed must be an integer in [0, 2**{SEED_LIMIT.bit_length() - 1}), "
+                              f"got {self.seed!r}")
+
     def to_dict(self) -> dict:
         return {
             "grid": self.grid.to_dict(),
@@ -108,11 +115,8 @@ class RunConfig:
                                         AugmentConfig)
         out["train"] = _merge_section("train", base.train, d.get("train"), TrainConfig)
         out["eval"] = _merge_section("eval", base.eval, d.get("eval"), EvalConfig)
-        seed = d.get("seed", base.seed)
-        if not _fits(seed, int) or seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-        out["seed"] = seed
-        aug, grid, data = out["augment"], out["grid"], out["data"]
+        out["seed"] = d.get("seed", base.seed)
+        aug, grid, data, train = out["augment"], out["grid"], out["data"], out["train"]
         if grid.image_channels != 3:
             raise ConfigError(f"section 'grid': image_channels must be 3 for the RGB "
                               f"scenes and images, got {grid.image_channels}")
@@ -126,10 +130,10 @@ class RunConfig:
         if aug.crop_min > min(data.width, data.height):
             raise ConfigError(f"section 'augment': crop_min {aug.crop_min} exceeds the "
                               f"{data.width}x{data.height} scenes of section 'data'")
-        try:
-            preset_mask(grid.mask, grid)
-        except ValueError as e:
-            raise ConfigError(f"section 'grid': {e}") from None
+        if 0 <= train.ignore_label < grid.num_classes:
+            raise ConfigError(f"train.ignore_label {train.ignore_label} is a class of "
+                              f"grid.num_classes {grid.num_classes}: the ignore label must "
+                              f"lie outside [0, num_classes)")
         if out["eval"].categories is not None:
             try:
                 CategoryMap(out["eval"].categories, out["grid"].num_classes)

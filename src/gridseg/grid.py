@@ -90,6 +90,8 @@ class GridSpec:
         for name, low, high in (("n_streams", 1, MAX_STREAMS), ("base_channels", 1, MAX_WIDTH),
                                 ("num_classes", 2, MAX_WIDTH), ("image_channels", 1, MAX_WIDTH)):
             value = getattr(self, name)
+            if isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value}")
             if not low <= value <= high:
                 raise ValueError(f"{name} must lie in [{low}, {high}], got {value}")
         widest = self.stream_channels(self.n_streams - 1)
@@ -99,12 +101,14 @@ class GridSpec:
         bad = [k for k in self.column_kinds if k not in (SUB, UP)]
         if bad:
             raise ValueError(f"column kinds must be '{SUB}' or '{UP}', got {bad}")
-        if not 0.0 <= self.dropout_p <= 1.0:
-            raise ValueError(f"dropout_p must lie in [0, 1], got {self.dropout_p}")
+        if isinstance(self.dropout_p, bool) or not 0.0 <= self.dropout_p <= 1.0:
+            raise ValueError(f"dropout_p must be a number in [0, 1], got {self.dropout_p}")
         if self.fusion not in ("sum", "concat"):
             raise ValueError(f"fusion must be 'sum' or 'concat', got {self.fusion!r}")
-        if self.mask not in _MASK_PRESETS:
-            raise ValueError(f"unknown mask preset {self.mask!r}; choose from {_MASK_PRESETS}")
+        if not isinstance(self.vertical_residual, bool):
+            raise ValueError(f"vertical_residual must be true or false, got "
+                             f"{self.vertical_residual!r}")
+        preset_mask(self.mask, self)  # the preset must exist and fit this grid
 
     @property
     def n_columns(self) -> int:
@@ -429,8 +433,8 @@ class GridModel:
 
     # -- forward -------------------------------------------------------
 
-    def forward(self, x, training: bool = False, drop_mask=None, tape: Tape | None = None,
-                trace: dict | None = None) -> Tensor:
+    def forward(self, x, training: bool = False, drop_mask=None,
+                tape: Tape | None = None) -> Tensor:
         """Run the grid; returns logits (n, num_classes, h, w).
 
         ``drop_mask`` (training only) removes the residual addend of
@@ -450,8 +454,6 @@ class GridModel:
         hw = [stream_dims(self.spec, i, in_hw)[1:] for i in range(self.spec.n_streams)]
 
         stem = ops.conv2d(ops.batch_norm(x, self.stem_bn, training, tape), self.stem_conv, tape)
-        if trace is not None:
-            trace["stem"] = stem
         # latest value of each stream; a block reads its own stream before
         # overwriting it and its vertical source after that was updated
         value: dict[int, Tensor] = {0: stem}
@@ -481,12 +483,7 @@ class GridModel:
             if out.shape != want:
                 raise RuntimeError(f"block ({i},{t}) produced {out.shape}, expected {want}")
             value[i] = out
-            if trace is not None:
-                trace[(i, t)] = out
-        logits = ops.conv2d(value[0], self.head, tape)
-        if trace is not None:
-            trace["logits"] = logits
-        return logits
+        return ops.conv2d(value[0], self.head, tape)
 
 
 def build_grid(spec: GridSpec, input_hw, mask: ConnectionMask | None = None,

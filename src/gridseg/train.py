@@ -33,6 +33,9 @@ from .tensor import Tape, backward
 
 KEY_SHUFFLE = 0x8AF1DE91C2264F8D
 KEY_PATCH = 0x3C6EF372FE94F82B
+# numpy's Philox takes keys below 2**128, and every key is the run seed
+# xor a 64-bit purpose constant (these two and dropout.KEY_DROP)
+SEED_LIMIT = 1 << 128
 
 _MAGIC = b"GRDN"
 _VERSION = 1
@@ -288,9 +291,10 @@ def load_checkpoint(path: str):
         raise ValueError(f"{path}: checkpoint input_hw must be [height, width]")
     counters = [*hw, header["init_seed"], header["optim"]["t"], header["train"]["seed"],
                 header["train"]["epochs_done"]]
-    if not all(type(v) is int and v >= 0 for v in counters):
+    if not all(type(v) is int and v >= 0 for v in counters) or counters[4] >= SEED_LIMIT:
         raise ValueError(f"{path}: checkpoint input size, seeds, step and epoch count "
-                         f"must be non-negative integers")
+                         f"must be non-negative integers, the train seed below "
+                         f"2**{SEED_LIMIT.bit_length() - 1}")
     if type(header["prune_masked"]) is not bool:
         raise ValueError(f"{path}: checkpoint prune_masked must be true or false")
     try:  # values of the wrong type surface as TypeError in the constructors

@@ -41,6 +41,7 @@ from gridseg.train import (
     save_checkpoint,
     train_run,
 )
+from recording_ops import block_values
 
 
 def _ok(num: int, text: str) -> None:
@@ -171,8 +172,7 @@ def test_criterion_05_zeroed_units_leave_identity_path():
             for _, p in named_leaves(unit, "u", Tensor):
                 p.data[...] = 0.0
     x = np.random.default_rng(4).normal(size=(2, 3, 16, 16)).astype(np.float32)
-    trace = {}
-    model.forward(x, trace=trace)
+    trace = block_values(model, x)
     last = trace[(0, model.spec.n_columns - 1)].data
     assert np.array_equal(last, trace["stem"].data)
     _ok(5, "stream-0 output equals the stem bit for bit")

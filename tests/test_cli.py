@@ -273,6 +273,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "report", "--config", str(path))
         assert code == 1 and "warmup" in err
 
+    def test_ignore_label_that_is_a_class_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"train": {"ignore_label": 2}}))
+        code, out, err = run(capsys, "train", "--config", str(path))
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "train.ignore_label 2" in err and "grid.num_classes 4" in err
+
     def test_invalid_json_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{")
@@ -358,6 +365,17 @@ class TestExitCodes:
                                        lambda h: h["optim"].update(lr_decay=float("inf")))
         code, _, err = run(capsys, "eval", "--config", tiny_config, "--checkpoint", ckpt)
         assert code == 2 and "lr_decay must be" in err and err.count("\n") == 1
+
+    def test_header_train_seed_of_2_to_the_128_is_runtime_error(self, capsys, tmp_path,
+                                                               tiny_config):
+        # numpy's Philox would reject the key seed ^ KEY_SHUFFLE only after the
+        # scenes were generated
+        ckpt = self._edited_checkpoint(capsys, tmp_path, tiny_config,
+                                       lambda h: h["train"].update(seed=2**128))
+        code, out, err = run(capsys, "train", "--config", tiny_config, "--resume", ckpt,
+                             "--checkpoint", str(tmp_path / "next.grdn"))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert f"{ckpt}: " in err and "the train seed below 2**128" in err
 
     def test_multiplicative_lr_decay_above_one_in_header_is_runtime_error(
             self, capsys, tmp_path, tiny_config):
@@ -507,6 +525,7 @@ class TestExitCodes:
         (["gradcheck", "--tol", "x"], "--tol: invalid float value"),
         (["report", "--input-size", "3"], "--input-size: must be at least the grid's minimum "
                                           "side 16, got 3"),
+        (["train", "--seed", str(2**200)], "seed must be an integer in [0, 2**128)"),
     ])
     def test_out_of_range_flag_is_usage_error(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

@@ -1,7 +1,10 @@
 """Strict run-configuration parsing tests."""
 
 import dataclasses
+import json
 import math
+import pathlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -45,6 +48,17 @@ class TestRunConfig:
             RunConfig.from_dict({"seed": "zero"})
         with pytest.raises(ConfigError, match="seed"):
             RunConfig.from_dict({"seed": True})
+        # the Philox keys, seed ^ a 64-bit constant, must stay below 2**128
+        assert RunConfig.from_dict({"seed": 2**128 - 1}).seed == 2**128 - 1
+        with pytest.raises(ConfigError, match=r"^seed must be an integer in \[0, 2\*\*128\)"):
+            RunConfig.from_dict({"seed": 2**128})
+        with pytest.raises(ConfigError, match="seed"):
+            dataclasses.replace(RunConfig(), seed=2**200)
+
+    def test_readme_config_block_is_the_default_document(self):
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        block, = re.findall(r"```json\n(.*?)```", readme.read_text(), re.S)
+        assert json.loads(block) == RunConfig().to_dict()
 
     def test_non_object_rejected(self):
         with pytest.raises(ConfigError, match="JSON object"):
@@ -146,11 +160,31 @@ class TestRunConfig:
                                               rf"grid.num_classes {classes}: "):
             RunConfig.from_dict(doc)
 
-    @pytest.mark.parametrize("classes, shapes", [(4, 3), (10, 9), (256, 255), (2, 255)])
-    def test_max_shapes_range_edges_accepted(self, classes, shapes):
+    # 256 classes take class 255, so that row moves the ignore label past them
+    @pytest.mark.parametrize("classes, shapes, ignore",
+                             [(4, 3, 255), (10, 9, 255), (256, 255, 256), (2, 255, 255)],
+                             ids=["4-3", "10-9", "256-255", "2-255"])
+    def test_max_shapes_range_edges_accepted(self, classes, shapes, ignore):
         cfg = RunConfig.from_dict({"grid": {"num_classes": classes},
-                                   "data": {"max_shapes": shapes}})
+                                   "data": {"max_shapes": shapes},
+                                   "train": {"ignore_label": ignore}})
         assert (cfg.grid.num_classes, cfg.data.max_shapes) == (classes, shapes)
+
+    @pytest.mark.parametrize("doc", [
+        {"train": {"ignore_label": 2}},
+        {"train": {"ignore_label": 0}},
+        {"grid": {"num_classes": 256}, "data": {"max_shapes": 255}},
+    ])
+    def test_ignore_label_that_is_a_class_rejected(self, doc):
+        label = doc.get("train", {}).get("ignore_label", 255)
+        classes = doc.get("grid", {}).get("num_classes", 4)
+        with pytest.raises(ConfigError, match=rf"^train.ignore_label {label} is a class of "
+                                              rf"grid.num_classes {classes}: "):
+            RunConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("label", [-1, 4, 255])
+    def test_ignore_label_outside_the_classes_accepted(self, label):
+        assert RunConfig.from_dict({"train": {"ignore_label": label}}).train.ignore_label == label
 
     @pytest.mark.parametrize("grid, message", [
         ({"n_streams": 1, "mask": "u_net"}, "mask preset 'u_net' needs at least two streams"),
@@ -238,7 +272,6 @@ def test_random_documents_parse_or_raise_config_error(doc):
 
 class TestLoadConfig:
     def test_file_round_trip(self, tmp_path):
-        import json
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"seed": 11, "data": {"n_train": 5}}))
         cfg = load_config(str(path))

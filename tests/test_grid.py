@@ -34,6 +34,7 @@ from gridseg import (
 )
 from gridseg.config import RunConfig
 from gridseg.grid import named_leaves
+from recording_ops import RecordingOps, block_values
 
 
 def spec_2s(**kw):
@@ -132,8 +133,8 @@ class TestForwardShapes:
     def test_no_columns_is_stem_plus_head(self):
         model = build_grid(GridSpec(1, (), 4, 2), (8, 8), seed=0)
         x = np.random.default_rng(2).normal(size=(1, 3, 8, 8)).astype(np.float32)
-        trace = {}
-        out = model.forward(x, trace=trace)
+        trace = block_values(model, x)
+        out = trace["logits"]
         want = ops.conv2d(ops.conv2d(ops.batch_norm(Tensor(x), model.stem_bn, False),
                                      model.stem_conv), model.head)
         assert np.array_equal(out.data, want.data)
@@ -177,8 +178,7 @@ class TestZeroUnits:
                     if "conv" in name or "shortcut" in name:
                         p.data[...] = 0.0
         x = np.random.default_rng(4).normal(size=(2, 3, 16, 16)).astype(np.float32)
-        trace = {}
-        model.forward(x, trace=trace)
+        trace = block_values(model, x)
         last_col = model.spec.n_columns - 1
         assert np.array_equal(trace[(0, last_col)].data, trace["stem"].data)
 
@@ -398,8 +398,7 @@ def fused_inputs(model, x):
     each None where the block has no such addend; both are recomputed from
     the traced block outputs, outside the grid's own loop.
     """
-    trace = {}
-    model.forward(x, trace=trace)
+    trace = block_values(model, x)
     hw = [stream_dims(model.spec, i, x.shape[2:])[1:] for i in range(model.spec.n_streams)]
     value = {0: trace["stem"]}
     out = []
@@ -500,27 +499,6 @@ class TestGradientFlow:
         assert all(p.grad is not None for p in on_path.values())
 
 
-class CountingOps:
-    """Stands in for ``gridseg.grid.ops``: forwards every attribute and adds
-    up the elements of each Tensor an op returns to the grid."""
-
-    def __init__(self):
-        self.elements = 0
-
-    def __getattr__(self, name):
-        fn = getattr(ops, name)
-        if not callable(fn) or isinstance(fn, type):
-            return fn
-
-        def counted(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            if isinstance(out, Tensor):
-                self.elements += out.size
-            return out
-
-        return counted
-
-
 def _tally_cases():
     cases = []
     for mask in ("full", "conv_deconv", "u_net", "frrn"):
@@ -571,7 +549,7 @@ class TestPlan:
     def test_activation_tally_counts_every_op_output(self, monkeypatch, spec):
         hw = (12, 10)  # odd halvings: 12x10 -> 6x5 -> 3x3
         model = build_grid(spec, hw, seed=2)
-        counter = CountingOps()
+        counter = RecordingOps()
         monkeypatch.setattr("gridseg.grid.ops", counter)
         x = np.ones((2, spec.image_channels, *hw), np.float32)
         model.forward(x, training=False)
@@ -590,7 +568,7 @@ class TestPlan:
         x = np.random.default_rng(0).normal(size=(2, 3, 12, 10)).astype(np.float32)
         counts = []
         for model, kw in ((dropping, {"drop_mask": drop}), (gated, {})):
-            counter = CountingOps()
+            counter = RecordingOps()
             monkeypatch.setattr("gridseg.grid.ops", counter)
             counts.append((counter, model.forward(x, training=True, **kw).data))
         (a, out_a), (b, out_b) = counts

@@ -28,6 +28,7 @@ from gridseg import (
 from gridseg.config import RunConfig
 from gridseg.data import AugmentConfig, generate_dataset
 from gridseg.train import TrainConfig, make_optimizer, train_epoch
+from recording_ops import block_values
 
 
 DESK = RunConfig().grid
@@ -797,9 +798,8 @@ class TestTape:
             probed.append(True)
 
         tape.record(probe)
-        trace = {}
-        logits = model.forward(rng.normal(size=(2, 3, 16, 16)), training=True, tape=tape,
-                               trace=trace)
+        trace = block_values(model, rng.normal(size=(2, 3, 16, 16)), training=True, tape=tape)
+        logits = trace["logits"]
         loss = softmax_cross_entropy(logits, rng.integers(0, 4, (2, 16, 16)), tape=tape)
         refs = {key: weakref.ref(t.data) for key, t in trace.items()}
         assert len(refs) == len(model.plan) + 2
@@ -821,9 +821,8 @@ class TestTape:
         model = build_grid(spec, (16, 16), seed=6, dtype=np.float64)
         rng = np.random.default_rng(37)
         tape = Tape()
-        trace = {}
-        logits = model.forward(rng.normal(size=(2, 3, 16, 16)), training=True, tape=tape,
-                               trace=trace)
+        trace = block_values(model, rng.normal(size=(2, 3, 16, 16)), training=True, tape=tape)
+        logits = trace["logits"]
         refs = {key: weakref.ref(t.data) for key, t in trace.items()}
         del trace
         # the traced value each stream holds, walked in the forward's order

@@ -388,11 +388,17 @@ class TestCheckpoints:
         (lambda h: h.update(prune_masked=0), "prune_masked must be true or false"),
         (lambda h: h.update(prune_masked="false"), "prune_masked must be true or false"),
         (lambda h: h.update(prune_masked=None), "prune_masked must be true or false"),
+        (lambda h: h["train"].update(seed=2**128), "the train seed below 2\\*\\*128"),
+        (lambda h: h["spec"].update(dropout_p=True), "dropout_p must be a number"),
+        (lambda h: h["spec"].update(n_streams=True), "n_streams must be an integer"),
+        (lambda h: h["spec"].update(vertical_residual=0), "vertical_residual must be true"),
+        (lambda h: h["spec"].update(vertical_residual="yes"), "vertical_residual must be true"),
     ], ids=["mask_empty", "optim_without_t", "spec_without_n_streams", "train_empty",
             "negative_epochs_done", "one_side_input_hw", "float_init_seed",
             "lr_not_a_number", "n_streams_not_an_int", "infinite_lr_decay", "infinite_eps",
             "multiplicative_lr_decay_above_one", "prune_masked_int", "prune_masked_string",
-            "prune_masked_null"])
+            "prune_masked_null", "train_seed_too_large", "bool_dropout_p", "bool_n_streams",
+            "int_vertical_residual", "string_vertical_residual"])
     def test_malformed_nested_value_rejected(self, tmp_path, edit, message):
         header, payload = split_checkpoint(VALID_CHECKPOINT)
         edit(header)
