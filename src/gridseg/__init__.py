@@ -28,7 +28,7 @@ from .grid import (
     stream_dims,
     symmetric_columns,
 )
-from .dropout import DropMask, sample_drop_mask
+from .train import DropMask, sample_drop_mask
 
 __all__ = [
     "Tape",

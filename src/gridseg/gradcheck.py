@@ -36,7 +36,7 @@ def finite_diff_gradcheck(loss_fn, named_params, n_coords: int = 50,
     if not named_params:
         raise ValueError("finite_diff_gradcheck needs at least one parameter")
     for _, p in named_params:
-        p.zero_grad()
+        p.grad = None
     tape = Tape()
     loss = loss_fn(tape)
     backward(tape, loss)

@@ -518,12 +518,11 @@ def approx_activation_count(spec: GridSpec, input_hw) -> float:
     return 6.0 * h * w * spec.base_channels * (4.0 * spec.n_up + 3.0 * spec.n_sub - 2.0)
 
 
-def activation_tally(model: GridModel, input_hw=None) -> int:
+def activation_tally(model: GridModel) -> int:
     """Per-sample count of every op output the forward pass materializes."""
     spec = model.spec
-    in_hw = model.input_hw if input_hw is None else (int(input_hw[0]), int(input_hw[1]))
-    size = [int(np.prod(stream_dims(spec, i, in_hw))) for i in range(spec.n_streams)]
-    h, w = in_hw
+    size = [int(np.prod(stream_dims(spec, i, model.input_hw))) for i in range(spec.n_streams)]
+    h, w = model.input_hw
     total = spec.image_channels * h * w          # stem BN output
     total += spec.base_channels * h * w          # stem conv output
     for block in model.plan:

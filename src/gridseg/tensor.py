@@ -118,9 +118,6 @@ class Tensor:
             self.grad = np.zeros(self.shape, self.dtype)
         self.grad += g
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         flags = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{flags})"

@@ -1,11 +1,11 @@
 """Training loop with counter-based randomness and binary checkpoints.
 
-Every random choice is drawn from a counter-based generator keyed by the
-run seed and a purpose constant, with the epoch (shuffling) or the
-optimizer step (patch sampling, unit dropout) as the counter. Nothing
-random depends on how the process got to a given epoch, so a run resumed
-from a checkpoint at an epoch boundary is bit-identical to one that
-never stopped.
+Every random choice is drawn from a counter-based generator (``_stream``)
+keyed by the run seed, which lies in [0, 2**128), and a purpose constant,
+with the epoch (shuffling) or the optimizer step (patch sampling, unit
+dropout) as the counter. Nothing random depends on how the process got
+to a given epoch, so a run resumed from a checkpoint at an epoch
+boundary is bit-identical to one that never stopped.
 
 Checkpoints are a single file: magic ``GRDN``, a version word, a JSON
 header (model spec, connection mask, shape tables, optimizer and
@@ -25,7 +25,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import AugmentConfig, Scene, augment_patch
-from .dropout import sample_drop_mask
 from .grid import ConnectionMask, GridModel, GridSpec, build_grid
 from .ops import softmax_cross_entropy
 from .optim import Adam, check_hyperparams
@@ -33,8 +32,7 @@ from .tensor import Tape, backward
 
 KEY_SHUFFLE = 0x8AF1DE91C2264F8D
 KEY_PATCH = 0x3C6EF372FE94F82B
-# numpy's Philox takes keys below 2**128, and every key is the run seed
-# xor a 64-bit purpose constant (these two and dropout.KEY_DROP)
+KEY_DROP = 0xD1B54A32D192ED03
 SEED_LIMIT = 1 << 128
 
 _MAGIC = b"GRDN"
@@ -48,6 +46,54 @@ _NESTED_KEYS = {
     "optim": {"t", "lr", "beta1", "beta2", "eps", "lr_decay", "decay_mode"},
     "train": {"seed", "epochs_done"},
 }
+
+
+def _stream(seed: int, key: int, counter: int) -> np.random.Generator:
+    """The run's stream for the purpose constant ``key`` at ``counter``.
+
+    numpy's Philox takes keys below 2**128 and every purpose constant is
+    a 64-bit word, so a seed in [0, ``SEED_LIMIT``) always makes a valid
+    key ``seed ^ key``.
+    """
+    if not 0 <= seed < SEED_LIMIT or counter < 0:
+        raise ValueError(f"seed must lie in [0, 2**{SEED_LIMIT.bit_length() - 1}) and "
+                         f"counter be non-negative, got seed {seed}, counter {counter}")
+    return np.random.Generator(np.random.Philox(key=seed ^ key, counter=counter))
+
+
+@dataclass(frozen=True)
+class DropMask:
+    """Keep/drop decision per residual unit, keyed by (stream, column)."""
+
+    keep: dict[tuple[int, int], bool]
+
+    def keeps(self, row: int, col: int) -> bool:
+        """Units without an entry (no gate there) are always kept."""
+        return self.keep.get((row, col), True)
+
+    @property
+    def n_kept(self) -> int:
+        return sum(1 for v in self.keep.values() if v)
+
+
+def sample_drop_mask(model, p: float, seed: int, step: int = 0) -> DropMask:
+    """Draw the unit-dropout mask of optimizer step ``step``.
+
+    Instead of zeroing single activations, one Bernoulli draw per residual
+    unit disables the whole unit for the step: a dropped unit contributes
+    exactly zero, is never evaluated, and therefore receives no gradient.
+    Identity wires and resampling units are never dropped, so every stream
+    keeps a value and the network stays connected. Kept units are not
+    rescaled by 1/p, and evaluation always keeps every unit.
+
+    Each residual unit that would run under the model's connection mask
+    is kept with probability ``p``, independently.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"keep probability must lie in [0, 1], got {p}")
+    gates = model.residual_gate_ids()
+    u = _stream(seed, KEY_DROP, step).random(len(gates))
+    return DropMask({g: bool(u[k] < p) for k, g in enumerate(gates)})
 
 
 @dataclass(frozen=True)
@@ -106,16 +152,11 @@ def train_epoch(model: GridModel, optim: Adam, scenes: list[Scene],
                 epoch: int) -> dict:
     """One pass over the data; returns a JSON-ready record (no timestamps)."""
     optim.lr = base_lr_for_epoch(cfg, epoch)
-    order = np.random.Generator(
-        np.random.Philox(key=seed ^ KEY_SHUFFLE, counter=epoch)
-    ).permutation(len(scenes))
+    order = _stream(seed, KEY_SHUFFLE, epoch).permutation(len(scenes))
     losses, skipped = [], 0
     for start in range(0, len(order), cfg.batch_size):
         picks = [scenes[k] for k in order[start:start + cfg.batch_size]]
-        patch_rng = np.random.Generator(
-            np.random.Philox(key=seed ^ KEY_PATCH, counter=optim.t)
-        )
-        x, y = make_batch(picks, augment, patch_rng)
+        x, y = make_batch(picks, augment, _stream(seed, KEY_PATCH, optim.t))
         if (y == cfg.ignore_label).all():
             skipped += 1
             continue
@@ -161,6 +202,7 @@ def train_run(model: GridModel, scenes: list[Scene], augment: AugmentConfig,
         raise ValueError("training needs at least one scene")
     if optim is None:
         optim = make_optimizer(model, cfg)
+    _stream(seed, KEY_SHUFFLE, epochs_done)  # a bad seed fails before the log is rewritten
     if log_path and os.path.exists(log_path):
         _drop_log_lines(log_path, epochs_done)
     records = []
@@ -305,12 +347,14 @@ def load_checkpoint(path: str):
         optim = Adam(params, **{k: v for k, v in header["optim"].items() if k != "t"})
     except TypeError as e:
         raise ValueError(f"{path}: malformed checkpoint header ({e})") from None
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None
     optim.t = header["optim"]["t"]
     if [[n, list(p.shape)] for n, p in params] != header["params"]:
-        raise ValueError("checkpoint parameter table does not match the rebuilt model")
+        raise ValueError(f"{path}: checkpoint parameter table does not match the rebuilt model")
     buffers = model.named_buffers()
     if [[n, list(b.shape)] for n, b in buffers] != header["buffers"]:
-        raise ValueError("checkpoint buffer table does not match the rebuilt model")
+        raise ValueError(f"{path}: checkpoint buffer table does not match the rebuilt model")
     payload = _payload(params, buffers, optim)
     offset = 16 + header_len
     extra = len(raw) - offset - sum(a.size * np.dtype(t).itemsize for a, t in payload)

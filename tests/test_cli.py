@@ -359,6 +359,17 @@ class TestExitCodes:
         code, _, err = run(capsys, "eval", "--config", tiny_config, "--checkpoint", ckpt)
         assert code == 2 and "'mask'" in err and err.count("\n") == 1
 
+    def test_header_value_a_constructor_rejects_names_the_file(self, capsys, tmp_path,
+                                                              tiny_config):
+        ckpt = self._edited_checkpoint(capsys, tmp_path, tiny_config,
+                                       lambda h: h["spec"].update(fusion=1))
+        img = str(tmp_path / "in.ppm")
+        write_ppm(img, generate_scene(98, width=24, height=24).image)
+        code, out, err = run(capsys, "infer", "--checkpoint", ckpt, "--image", img,
+                             "--out", str(tmp_path / "p.pgm"))
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert f"{ckpt}: fusion must be 'sum' or 'concat', got 1" in err
+
     def test_infinite_header_lr_decay_is_runtime_error(self, capsys, tmp_path, tiny_config):
         # json writes the float as the bare token Infinity, which it also reads back
         ckpt = self._edited_checkpoint(capsys, tmp_path, tiny_config,

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from gridseg import ConnectionMask, GridSpec, build_grid, sample_drop_mask, symmetric_columns
-from gridseg.dropout import DropMask
+from gridseg import (ConnectionMask, DropMask, GridSpec, build_grid, sample_drop_mask,
+                     symmetric_columns)
 from gridseg.grid import named_leaves
 from gridseg.tensor import Tensor
+from gridseg.train import KEY_DROP
 
 
 def small_model(seed=0, mask=None):
@@ -47,7 +50,7 @@ class TestSampling:
         assert len(mask.keep) == 26
 
     def test_default_keep_for_unknown_unit(self):
-        m = DropMask({(0, 0): False}, 0.5, 0, 0)
+        m = DropMask({(0, 0): False})
         assert m.keeps(3, 7)
         assert not m.keeps(0, 0)
 
@@ -57,6 +60,24 @@ class TestSampling:
             sample_drop_mask(model, 1.5, 0)
         with pytest.raises(ValueError):
             sample_drop_mask(model, 0.5, -1)
+
+    @pytest.mark.parametrize("seed,step", [(2**128, 0), (-1, 0), (0, -1)])
+    def test_seed_and_step_rule(self, seed, step):
+        # one message for the rule, not numpy's bare "key must be positive"
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*128\) and counter"):
+            sample_drop_mask(small_model(), 0.5, seed, step)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**128 - 1), step=st.integers(0, 2**64), p=st.floats(0, 1))
+    @example(seed=0, step=0, p=0.5)
+    @example(seed=2**128 - 1, step=2**64, p=0.9)
+    def test_mask_is_the_direct_philox_draw(self, seed, step, p):
+        model = small_model()
+        gates = model.residual_gate_ids()
+        rng = np.random.Generator(np.random.Philox(key=seed ^ KEY_DROP, counter=step))
+        u = rng.random(len(gates))
+        mask = sample_drop_mask(model, p, seed, step)
+        assert mask.keep == {g: bool(u[k] < p) for k, g in enumerate(gates)}
 
 
 class TestForwardEquivalence:
@@ -87,7 +108,7 @@ class TestForwardEquivalence:
         model = small_model(seed=3)
         x = np.random.default_rng(2).normal(size=(1, 3, 16, 16)).astype(np.float32)
         full = model.forward(x, training=True).data
-        mask = DropMask({(0, 0): False}, 0.5, 0, 0)
+        mask = DropMask({(0, 0): False})
         dropped = small_model(seed=3).forward(x, training=True, drop_mask=mask).data
         assert not np.array_equal(full, dropped)
 
@@ -104,7 +125,7 @@ class TestForwardEquivalence:
         model = small_model(seed=5)
         x = np.random.default_rng(3).normal(size=(1, 3, 16, 16)).astype(np.float32)
         labels = np.zeros((1, 16, 16), np.int64)
-        mask = DropMask({(0, 0): False}, 0.5, 0, 0)
+        mask = DropMask({(0, 0): False})
         tape = Tape()
         logits = model.forward(x, training=True, drop_mask=mask, tape=tape)
         loss = softmax_cross_entropy(logits, labels, tape=tape)

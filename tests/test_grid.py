@@ -558,13 +558,13 @@ class TestPlan:
     def test_dropped_residual_adds_nothing(self, monkeypatch):
         # dropping every residual unit runs the same ops, with the same
         # result, as switching every residual gate off
-        from gridseg.dropout import DropMask
+        from gridseg import DropMask
         spec = spec_3s(fusion="concat")
         dropping = build_grid(spec, (12, 10), seed=2)
         mask = preset_mask("full", spec)
         mask.residual_on[...] = False
         gated = build_grid(spec, (12, 10), mask=mask, seed=2)
-        drop = DropMask({g: False for g in dropping.residual_gate_ids()}, 0.5, 0, 0)
+        drop = DropMask({g: False for g in dropping.residual_gate_ids()})
         x = np.random.default_rng(0).normal(size=(2, 3, 12, 10)).astype(np.float32)
         counts = []
         for model, kw in ((dropping, {"drop_mask": drop}), (gated, {})):

@@ -10,16 +10,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridseg import GridSpec, build_grid, symmetric_columns
 from gridseg.data import AugmentConfig, Scene, generate_dataset
+import gridseg.train
 from gridseg.train import (
+    KEY_PATCH,
+    KEY_SHUFFLE,
     TrainConfig,
     load_checkpoint,
     make_batch,
     make_optimizer,
+    sample_drop_mask,
     save_checkpoint,
     train_epoch,
     train_run,
@@ -170,6 +174,72 @@ class TestTraining:
                           TrainConfig(epochs=1, batch_size=2), seed=0, epoch=0)
         assert set(rec) == {"epoch", "steps", "skipped", "loss", "lr"}
         assert rec["steps"] == 1 and rec["epoch"] == 0
+
+
+def philox_state(bit_generator) -> tuple[list[int], list[int]]:
+    state = bit_generator.state["state"]
+    return state["key"].tolist(), state["counter"].tolist()
+
+
+class TestStreams:
+    """Every run stream is numpy's Philox keyed by ``seed ^ KEY_*``, its
+    counter the epoch (shuffle) or the optimizer step (patches, masks)."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**128 - 1), epoch=st.integers(0, 2**40),
+           t=st.integers(0, 2**40))
+    @example(seed=0, epoch=0, t=0)
+    @example(seed=2**128 - 1, epoch=3, t=7)
+    def test_epoch_draws_are_the_direct_philox_draws(self, seed, epoch, t):
+        scenes = scenes16()
+        cfg = TrainConfig(epochs=epoch + 1, batch_size=2)
+        model = tiny_model()
+        optim = make_optimizer(model, cfg)
+        optim.t = t
+        picks, patch_states, mask_calls = [], [], []
+
+        def batch(chosen, augment, rng):
+            picks.extend(next(k for k, s in enumerate(scenes) if s is c) for c in chosen)
+            patch_states.append(philox_state(rng.bit_generator))
+            return make_batch(chosen, augment, rng)
+
+        def drop_mask(model, p, seed, step):
+            mask_calls.append((seed, step))
+            return sample_drop_mask(model, p, seed, step)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gridseg.train, "make_batch", batch)
+            mp.setattr(gridseg.train, "sample_drop_mask", drop_mask)
+            train_epoch(model, optim, scenes, AUG, cfg, seed=seed, epoch=epoch)
+        shuffle = np.random.Generator(np.random.Philox(key=seed ^ KEY_SHUFFLE, counter=epoch))
+        assert picks == shuffle.permutation(len(scenes)).tolist()
+        steps = range(t, t + 3)
+        assert patch_states == [philox_state(np.random.Philox(key=seed ^ KEY_PATCH, counter=c))
+                                for c in steps]
+        assert mask_calls == [(seed, c) for c in steps]
+
+    @pytest.mark.parametrize("seed", [2**128, -1])
+    def test_seed_outside_the_range_fails_before_any_draw(self, tmp_path, seed):
+        model = tiny_model()
+        before = params_of(model)
+        cfg = TrainConfig(epochs=2, batch_size=2)
+        optim = make_optimizer(model, cfg)
+        log = tmp_path / "log.jsonl"
+        log.write_text('{"epoch": 0}\n')
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*128\)"):
+            train_epoch(model, optim, scenes16(), AUG, cfg, seed=seed, epoch=0)
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*128\)"):
+            train_run(model, scenes16(), AUG, cfg, seed=seed, optim=optim,
+                      log_path=str(log))
+        assert optim.t == 0 and log.read_text() == '{"epoch": 0}\n'
+        for name, p in model.named_parameters():
+            assert np.array_equal(p.data, before[name]), name
+
+    def test_negative_epoch_rejected(self):
+        model = tiny_model()
+        optim = make_optimizer(model, TrainConfig(epochs=1))
+        with pytest.raises(ValueError, match="counter be non-negative"):
+            train_epoch(model, optim, scenes16(), AUG, TrainConfig(epochs=1), seed=0, epoch=-1)
 
 
 def split_checkpoint(raw: bytes) -> tuple[dict, bytes]:
@@ -393,12 +463,22 @@ class TestCheckpoints:
         (lambda h: h["spec"].update(n_streams=True), "n_streams must be an integer"),
         (lambda h: h["spec"].update(vertical_residual=0), "vertical_residual must be true"),
         (lambda h: h["spec"].update(vertical_residual="yes"), "vertical_residual must be true"),
+        (lambda h: h["spec"].update(fusion=1), "fusion must be 'sum' or 'concat'"),
+        (lambda h: h["spec"].update(mask="nope"), "unknown mask preset 'nope'"),
+        (lambda h: h["optim"].update(beta1=1.5), "betas must lie in"),
+        (lambda h: h["mask"].update(residual_on=[[True]]), "mask field shapes differ"),
+        (lambda h: h["mask"].update(horizontal_on=[[False] * 2] * 2,
+                                    vertical_on=[[False] * 2] * 2), "unreachable"),
+        (lambda h: h["params"][0].__setitem__(1, [5]), "parameter table does not match"),
+        (lambda h: h["buffers"][0].__setitem__(1, [5]), "buffer table does not match"),
     ], ids=["mask_empty", "optim_without_t", "spec_without_n_streams", "train_empty",
             "negative_epochs_done", "one_side_input_hw", "float_init_seed",
             "lr_not_a_number", "n_streams_not_an_int", "infinite_lr_decay", "infinite_eps",
             "multiplicative_lr_decay_above_one", "prune_masked_int", "prune_masked_string",
             "prune_masked_null", "train_seed_too_large", "bool_dropout_p", "bool_n_streams",
-            "int_vertical_residual", "string_vertical_residual"])
+            "int_vertical_residual", "string_vertical_residual", "int_fusion",
+            "unknown_mask_preset", "beta1_above_one", "mask_of_wrong_shape",
+            "mask_leaving_output_unreachable", "edited_param_shape", "edited_buffer_shape"])
     def test_malformed_nested_value_rejected(self, tmp_path, edit, message):
         header, payload = split_checkpoint(VALID_CHECKPOINT)
         edit(header)
@@ -407,6 +487,7 @@ class TestCheckpoints:
         with pytest.raises(ValueError, match=message) as info:
             load_checkpoint(str(path))
         assert "\n" not in str(info.value)
+        assert str(info.value).startswith(f"{path}: ")
 
     def test_pruned_header_over_full_mask_loads(self, tmp_path):
         # a model pruned under the all-on mask allocates every unit, so its
