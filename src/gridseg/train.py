@@ -18,6 +18,7 @@ the target, so a crash mid-write leaves the previous checkpoint whole.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import struct
 from dataclasses import dataclass, fields
@@ -53,12 +54,14 @@ def _stream(seed: int, key: int, counter: int) -> np.random.Generator:
 
     numpy's Philox takes keys below 2**128 and every purpose constant is
     a 64-bit word, so a seed in [0, ``SEED_LIMIT``) always makes a valid
-    key ``seed ^ key``.
+    key ``seed ^ key``. Any integer but a bool is a seed, numpy's too.
     """
-    if not 0 <= seed < SEED_LIMIT or counter < 0:
+    is_int = hasattr(seed, "__index__") and not isinstance(seed, bool)
+    value = operator.index(seed) if is_int else -1  # -1 fails the range check
+    if not 0 <= value < SEED_LIMIT or counter < 0:
         raise ValueError(f"seed must lie in [0, 2**{SEED_LIMIT.bit_length() - 1}) and "
-                         f"counter be non-negative, got seed {seed}, counter {counter}")
-    return np.random.Generator(np.random.Philox(key=seed ^ key, counter=counter))
+                         f"counter be non-negative, got seed {seed!r}, counter {counter}")
+    return np.random.Generator(np.random.Philox(key=value ^ key, counter=counter))
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ class DropMask:
         return sum(1 for v in self.keep.values() if v)
 
 
-def sample_drop_mask(model, p: float, seed: int, step: int = 0) -> DropMask:
+def sample_drop_mask(model, seed: int, step: int = 0) -> DropMask:
     """Draw the unit-dropout mask of optimizer step ``step``.
 
     Instead of zeroing single activations, one Bernoulli draw per residual
@@ -87,10 +90,9 @@ def sample_drop_mask(model, p: float, seed: int, step: int = 0) -> DropMask:
     rescaled by 1/p, and evaluation always keeps every unit.
 
     Each residual unit that would run under the model's connection mask
-    is kept with probability ``p``, independently.
+    is kept with probability ``model.spec.dropout_p``, independently.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"keep probability must lie in [0, 1], got {p}")
+    p = model.spec.dropout_p
     gates = model.residual_gate_ids()
     u = _stream(seed, KEY_DROP, step).random(len(gates))
     return DropMask({g: bool(u[k] < p) for k, g in enumerate(gates)})
@@ -108,7 +110,6 @@ class TrainConfig:
     decay_mode: str = "inverse_time"
     lr_drop_epoch: int | None = None
     lr_after_drop: float | None = None
-    use_dropout: bool = True
     ignore_label: int = 255
     snapshot_every: int | None = None
 
@@ -160,9 +161,7 @@ def train_epoch(model: GridModel, optim: Adam, scenes: list[Scene],
         if (y == cfg.ignore_label).all():
             skipped += 1
             continue
-        drop = None
-        if cfg.use_dropout and model.spec.dropout_p < 1.0:
-            drop = sample_drop_mask(model, model.spec.dropout_p, seed, step=optim.t)
+        drop = sample_drop_mask(model, seed, step=optim.t)
         tape = Tape()
         logits = model.forward(x, training=True, drop_mask=drop, tape=tape)
         loss = softmax_cross_entropy(logits, y, cfg.ignore_label, tape=tape)

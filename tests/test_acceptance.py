@@ -137,24 +137,24 @@ def test_criterion_04_unit_dropout_semantics_and_rate():
     spec = GridSpec(3, symmetric_columns(2, 2), 4, 3)
     x = np.random.default_rng(0).normal(size=(2, 3, 16, 16)).astype(np.float32)
 
-    model = build_grid(spec, (16, 16), seed=3)
-    keep_all = sample_drop_mask(model, 1.0, seed=1, step=0)
+    model = build_grid(dataclasses.replace(spec, dropout_p=1.0), (16, 16), seed=3)
+    keep_all = sample_drop_mask(model, seed=1, step=0)
     a = model.forward(x, training=True, drop_mask=keep_all).data
     b = build_grid(spec, (16, 16), seed=3).forward(x, training=True).data
     assert np.array_equal(a, b)
 
-    model = build_grid(spec, (16, 16), seed=3)
-    drop_all = sample_drop_mask(model, 0.0, seed=1, step=0)
+    model = build_grid(dataclasses.replace(spec, dropout_p=0.0), (16, 16), seed=3)
+    drop_all = sample_drop_mask(model, seed=1, step=0)
     c = model.forward(x, training=True, drop_mask=drop_all).data
     off = ConnectionMask.all_on(spec)
     off.residual_on[...] = False
     d = build_grid(spec, (16, 16), mask=off, seed=3).forward(x, training=True).data
     assert np.array_equal(c, d)
 
-    grid = build_grid(GridSpec(5, symmetric_columns(3, 3), 4, 2), (16, 16))
+    grid = build_grid(GridSpec(5, symmetric_columns(3, 3), 4, 2, dropout_p=0.7), (16, 16))
     n_units = len(grid.residual_gate_ids())
     assert n_units == 26  # 1 gated unit in the first column, 5 in each later one
-    kept = sum(sample_drop_mask(grid, 0.7, seed=5, step=s).n_kept
+    kept = sum(sample_drop_mask(grid, seed=5, step=s).n_kept
                for s in range(10_000))
     rate = kept / (26 * 10_000)
     assert abs(rate - 0.7) < 0.01
@@ -209,8 +209,8 @@ def test_criterion_06_desk_training_reaches_target_quality():
 @pytest.mark.slow
 def test_criterion_07_dropout_does_not_hurt_quality():
     # three seeds on a reduced desk run: mean IoU with unit dropout must
-    # not trail the no-dropout arm by more than 0.02; a larger gap is
-    # flagged as a warning, not a failure
+    # not trail the no-dropout arm (dropout_p 1, every unit kept) by more
+    # than 0.02; a larger gap is flagged as a warning, not a failure
     cfg = RunConfig()
     scene_kw = dict(width=cfg.data.width, height=cfg.data.height,
                     num_classes=cfg.grid.num_classes,
@@ -219,13 +219,13 @@ def test_criterion_07_dropout_does_not_hurt_quality():
     for seed in range(3):
         scenes = generate_dataset(80, seed=seed, **scene_kw)
         held = generate_dataset(30, seed=seed + 80, **scene_kw)
-        for use_dropout in (True, False):
-            train_cfg = dataclasses.replace(cfg.train, epochs=8,
-                                            use_dropout=use_dropout)
-            model = build_grid(cfg.grid, (cfg.augment.out_size,) * 2, seed=seed)
+        for dropout in (True, False):
+            grid = cfg.grid if dropout else dataclasses.replace(cfg.grid, dropout_p=1.0)
+            train_cfg = dataclasses.replace(cfg.train, epochs=8)
+            model = build_grid(grid, (cfg.augment.out_size,) * 2, seed=seed)
             train_run(model, scenes, cfg.augment, train_cfg, seed=seed)
             rep = evaluate_scenes(model, held, scales=cfg.eval.scales)
-            results[use_dropout].append(rep["mean_iou"])
+            results[dropout].append(rep["mean_iou"])
     gap = float(np.mean(results[True]) - np.mean(results[False]))
     if gap < -0.02:
         warnings.warn(f"unit dropout trails the plain runs by {-gap:.3f} mean IoU "

@@ -33,9 +33,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="unknown config sections"):
             RunConfig.from_dict({"model": {}})
 
-    def test_unknown_key_names_section(self):
-        with pytest.raises(ConfigError, match="'train'.*momentum"):
-            RunConfig.from_dict({"train": {"epochs": 1, "momentum": 0.9}})
+    @pytest.mark.parametrize("key,d", [
+        pytest.param("momentum", {"train": {"epochs": 1, "momentum": 0.9}}, id="momentum"),
+        # gone: grid.dropout_p alone sets unit dropout, 1.0 turning it off
+        pytest.param("use_dropout", {"train": {"use_dropout": False}}, id="use_dropout"),
+    ])
+    def test_unknown_key_names_section(self, key, d):
+        with pytest.raises(ConfigError, match=f"'train'.*{key}"):
+            RunConfig.from_dict(d)
 
     def test_bad_value_names_section(self):
         with pytest.raises(ConfigError, match="'grid'"):

@@ -38,8 +38,8 @@ def scenes16(n=6, seed=30):
     return generate_dataset(n, seed=seed, width=16, height=16)
 
 
-def tiny_model(seed=1):
-    return build_grid(SPEC, (8, 8), seed=seed)
+def tiny_model(seed=1, p=0.9):
+    return build_grid(dataclasses.replace(SPEC, dropout_p=p), (8, 8), seed=seed)
 
 
 def params_of(model):
@@ -123,8 +123,8 @@ class TestBatching:
 
 class TestTraining:
     def test_loss_decreases_when_overfitting(self):
-        model = tiny_model()
-        cfg = TrainConfig(epochs=8, batch_size=2, lr=0.01, use_dropout=False)
+        model = tiny_model(p=1.0)
+        cfg = TrainConfig(epochs=8, batch_size=2, lr=0.01)
         records = train_run(model, scenes16(4), AUG, cfg, seed=5)
         assert records[-1]["loss"] < records[0]["loss"]
 
@@ -141,6 +141,28 @@ class TestTraining:
         assert logs[0] == logs[1]
         for name in finals[0]:
             assert np.array_equal(finals[0][name], finals[1][name]), name
+
+    def test_keep_all_masks_are_bit_neutral(self, tmp_path):
+        """At dropout_p 1 every step still draws a mask; it keeps every unit,
+        so the run equals one that draws no mask at all."""
+        cfg = TrainConfig(epochs=2, batch_size=2, lr=0.01)
+        runs, calls = [], []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample_drop_mask(*args, **kwargs)
+
+        for stand_in in (counted, lambda *args, **kwargs: None):
+            model = tiny_model(seed=2, p=1.0)
+            optim = make_optimizer(model, cfg)
+            log = tmp_path / f"log{len(runs)}.jsonl"
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(gridseg.train, "sample_drop_mask", stand_in)
+                train_run(model, scenes16(), AUG, cfg, seed=9, optim=optim, log_path=str(log))
+            runs.append([p.data.tobytes() for _, p in model.named_parameters()]
+                        + [a.tobytes() for a in optim.m + optim.v] + [log.read_bytes()])
+        assert len(calls) == optim.t > 0
+        assert runs[0] == runs[1]
 
     def test_seed_changes_run(self):
         cfg = TrainConfig(epochs=1, batch_size=2, lr=0.01)
@@ -203,9 +225,9 @@ class TestStreams:
             patch_states.append(philox_state(rng.bit_generator))
             return make_batch(chosen, augment, rng)
 
-        def drop_mask(model, p, seed, step):
+        def drop_mask(model, seed, step):
             mask_calls.append((seed, step))
-            return sample_drop_mask(model, p, seed, step)
+            return sample_drop_mask(model, seed, step)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gridseg.train, "make_batch", batch)
