@@ -8,7 +8,9 @@ takes ints but no infinity or NaN). ``eval.scales`` lie in (0,
 ``EvalConfig.MAX_SCALE``]. ``grid.image_channels`` must be 3,
 since scenes and images are RGB; ``eval.categories`` must put each of
 the grid's classes in exactly one category, ``augment.out_size`` must
-reach the grid's minimum input side, ``augment.crop_min`` must fit
+reach the grid's minimum input side, and where it equals it (the
+deepest stream is then 1x1) every batch of ``data.n_train`` scenes in
+``train.batch_size`` must hold at least two scenes, ``augment.crop_min`` must fit
 inside the generated scenes, ``data.max_shapes`` must lie in
 [``grid.num_classes`` - 1, 255] so that every class can appear in a
 scene, ``train.ignore_label`` must lie outside [0, ``grid.num_classes``)
@@ -123,6 +125,12 @@ class RunConfig:
         if aug.out_size < grid.min_side:
             raise ConfigError(f"section 'augment': out_size {aug.out_size} is below the "
                               f"grid's minimum input side {grid.min_side}")
+        if aug.out_size == grid.min_side and (train.batch_size == 1
+                                              or data.n_train % train.batch_size == 1):
+            raise ConfigError(f"augment.out_size {aug.out_size} makes the deepest stream 1x1, "
+                              f"where training batch norm needs two scenes a batch, but "
+                              f"train.batch_size {train.batch_size} with data.n_train "
+                              f"{data.n_train} leaves a batch of one")
         if not grid.num_classes - 1 <= data.max_shapes <= 255:
             raise ConfigError(f"data.max_shapes {data.max_shapes} does not fit grid.num_classes "
                               f"{grid.num_classes}: scenes need num_classes - 1 <= max_shapes "

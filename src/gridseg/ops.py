@@ -575,6 +575,16 @@ def batch_norm(x: Tensor, bn: BatchNorm, training: bool, tape: Tape | None = Non
     larger than ``sqrt(running_var + eps)``: y carries an absolute error of
     about ``eps_dtype * |gamma| * |running_mean| / sqrt(running_var + eps)``.
 
+    Training's per-channel operands (the centring, scale and shift here,
+    and the three terms of the input gradient) come from `_per_channel`:
+    where a plane holds at least ``PLANE_MIN`` values, each is a materialized
+    (1, c, h, w) array, which numpy broadcasts over the batch at its full
+    elementwise speed, while a (1, c, 1, 1) broadcast runs far below it;
+    smaller planes keep the (1, c, 1, 1) form, whose per-call cost is lower.
+    An elementwise result does not depend on its operands' layout, so both
+    give the same bits. Eval keeps the (1, c, 1, 1) form at every size: it
+    runs one sample, where the copy costs more than it saves.
+
     On a tape, training computes the batch moments once per input value and
     keeps them in ``tape.moments``: a second batch norm over the same
     tensor reads the first's mean, variance and centred copy, and folds and
@@ -588,14 +598,13 @@ def batch_norm(x: Tensor, bn: BatchNorm, training: bool, tape: Tape | None = Non
     gamma, beta = bn.gamma, bn.beta
     n, c, h, w = x.shape
     m = n * h * w
-    c4 = (1, c, 1, 1)
     if training:
         if m == 1:
             raise ValueError("batch_norm in training mode needs more than one value per channel")
         moments = None if tape is None else tape.moments.get(x.slot)
         if moments is None:
             mean = np.add.reduce(x.data, (0, 2, 3)) / m
-            xc = x.data - mean.reshape(c4)
+            xc = x.data - _per_channel(mean, h, w)
             moments = mean, np.einsum("nchw,nchw->c", xc, xc) / m, xc
             if tape is not None:
                 tape.moments[x.slot] = moments
@@ -608,9 +617,10 @@ def batch_norm(x: Tensor, bn: BatchNorm, training: bool, tape: Tape | None = Non
     inv = 1.0 / np.sqrt(var + bn.eps)
     scale = gamma.data * inv
     if training:
-        y = xc * scale.reshape(c4)
-        y += beta.data.reshape(c4)
+        y = xc * _per_channel(scale, h, w)
+        y += _per_channel(beta.data, h, w)
     else:
+        c4 = (1, c, 1, 1)
         y = x.data * scale.reshape(c4)
         y += (beta.data - mean * scale).reshape(c4)
         xc = None if tape is None else x.data - mean.reshape(c4)  # for gamma's gradient
@@ -618,9 +628,24 @@ def batch_norm(x: Tensor, bn: BatchNorm, training: bool, tape: Tape | None = Non
                    tape and _batch_norm_grads(xc, inv, scale, m, training))
 
 
+# values per plane (h*w) from which `_per_channel` materializes: at 32x32
+# and 64x64 the copy paid for itself, at 16x16 and below it cost more than
+# the broadcast it replaced
+PLANE_MIN = 1024
+
+
+def _per_channel(v: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The per-channel vector v as an operand against an (n, c, h, w) array:
+    (1, c, h, w), each channel's plane filled with its value, where
+    ``h * w >= PLANE_MIN``, else the (1, c, 1, 1) view."""
+    if h * w < PLANE_MIN:
+        return v.reshape(1, v.size, 1, 1)
+    return np.repeat(v, h * w).reshape(1, v.size, h, w)
+
+
 def _batch_norm_grads(xc, inv, scale, m: int, training: bool):
     """`batch_norm`'s gradient maps for x, gamma and beta, from the centred input."""
-    c4 = (1, inv.size, 1, 1)
+    h, w = xc.shape[2:]
     sums = []  # per-channel sums of g and g * xc, both taken by the first map that runs
 
     def reduced(g):
@@ -630,13 +655,13 @@ def _batch_norm_grads(xc, inv, scale, m: int, training: bool):
 
     def dx(g):
         if not training:
-            return g * scale.reshape(c4)
+            return g * scale.reshape(1, scale.size, 1, 1)
         # the batch-moment input gradient g*a - xc*b - c, with per-channel
         # a = scale, b = scale * inv**2 * sum(g*xc) / m, c = scale * sum(g) / m
         gsum, gxc = reduced(g)
-        d = g * scale.reshape(c4)
-        d -= xc * (scale * inv * inv * gxc / m).reshape(c4)
-        d -= (scale * gsum / m).reshape(c4)
+        d = g * _per_channel(scale, h, w)
+        d -= xc * _per_channel(scale * inv * inv * gxc / m, h, w)
+        d -= _per_channel(scale * gsum / m, h, w)
         return d
 
     return dx, lambda g: reduced(g)[1] * inv, lambda g: reduced(g)[0]

@@ -19,10 +19,21 @@ Building a second Adam over the same tensors moves them into the new
 one's buffer, so the Adam built last owns them and the earlier one must
 not be stepped again.
 
+The update folds the bias corrections into the step size and epsilon
+(Kingma & Ba, arXiv 1412.6980, end of section 2): with
+``c1 = 1 - beta1**t`` and ``c2 = 1 - beta2**t``, ``alpha_t = lr_t *
+sqrt(c2) / c1`` and ``eps_hat = eps * sqrt(c2)``, each parameter moves by
+``alpha_t * m / (sqrt(v) + eps_hat)``. That is the textbook
+``lr_t * (m / c1) / (sqrt(v / c2) + eps)`` up to rounding, with no pass
+dividing ``m`` or ``v``: twelve in-place ufuncs a block where the
+textbook form takes fourteen.
+
 Moment buffers and the update arithmetic stay in float64 regardless of
-the parameter dtype; the finished update is cast back once. Parameters
-whose gradient is absent are treated as having a zero gradient, so
-frozen units keep zero moments and never move.
+the parameter dtype. Each block's new parameter values are computed in
+float64 in the gradient workspace and rounded to the parameter dtype by
+one cast copy into the parameter buffer. Parameters whose gradient is
+absent are treated as having a zero gradient, so frozen units keep zero
+moments and never move.
 """
 
 from __future__ import annotations
@@ -136,10 +147,14 @@ class Adam:
         lr_t = self.effective_lr(self.t)
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        # m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g**2 and
-        # update = lr_t*(m/c1) / (sqrt(v/c2) + eps): one in-place ufunc per
-        # operation of the formula, in its order, so every element rounds as
-        # it would with the formula evaluated term by term on that tensor
+        # m = beta1*m + (1-beta1)*g, v = beta2*v + (1-beta2)*g**2 and, with
+        # the bias corrections folded into the step size and eps (Kingma & Ba,
+        # arXiv 1412.6980, end of section 2), update = m * alpha_t / (sqrt(v)
+        # + eps_hat): one in-place ufunc per operation of the formula, in its
+        # order, so every element rounds as it would with the formula
+        # evaluated term by term on that tensor
+        alpha_t = lr_t * math.sqrt(c2) / c1
+        eps_hat = self.eps * math.sqrt(c2)
         block = self._denom.size
         for lo in range(0, self._grad.size, block):
             hi = lo + block
@@ -152,14 +167,15 @@ class Adam:
             g *= 1.0 - self.beta2
             v *= self.beta2
             v += g
-            np.divide(v, c2, out=d)
-            np.sqrt(d, out=d)
-            d += self.eps
-            np.divide(m, c1, out=g)
-            g *= lr_t
+            np.sqrt(v, out=d)
+            d += eps_hat
+            np.multiply(m, alpha_t, out=g)
             g /= d
-            # computed in float64 and rounded once to the parameter dtype
-            np.subtract(data, g, out=data)
+            # the new value in float64, then rounded once to the parameter
+            # dtype by one cast copy: a subtract straight into a float32
+            # buffer would run numpy's slower mixed-dtype loop
+            np.subtract(data, g, out=g)
+            data[...] = g
         for p in self.params:
             p.grad = None
         return lr_t

@@ -49,19 +49,25 @@ _NESTED_KEYS = {
 }
 
 
+def _int_or_neg(a) -> int:
+    """a as an int if it is an integer but a bool, numpy's too; else -1, which
+    `_stream`'s range check refuses."""
+    return operator.index(a) if hasattr(a, "__index__") and not isinstance(a, bool) else -1
+
+
 def _stream(seed: int, key: int, counter: int) -> np.random.Generator:
     """The run's stream for the purpose constant ``key`` at ``counter``.
 
     numpy's Philox takes keys below 2**128 and every purpose constant is
     a 64-bit word, so a seed in [0, ``SEED_LIMIT``) always makes a valid
-    key ``seed ^ key``. Any integer but a bool is a seed, numpy's too.
+    key ``seed ^ key``. Any integer but a bool is a seed or a counter,
+    numpy's too.
     """
-    is_int = hasattr(seed, "__index__") and not isinstance(seed, bool)
-    value = operator.index(seed) if is_int else -1  # -1 fails the range check
-    if not 0 <= value < SEED_LIMIT or counter < 0:
+    seed_i, counter_i = _int_or_neg(seed), _int_or_neg(counter)
+    if not 0 <= seed_i < SEED_LIMIT or counter_i < 0:
         raise ValueError(f"seed must lie in [0, 2**{SEED_LIMIT.bit_length() - 1}) and "
-                         f"counter be non-negative, got seed {seed!r}, counter {counter}")
-    return np.random.Generator(np.random.Philox(key=value ^ key, counter=counter))
+                         f"counter be non-negative, got seed {seed!r}, counter {counter!r}")
+    return np.random.Generator(np.random.Philox(key=seed_i ^ key, counter=counter_i))
 
 
 @dataclass(frozen=True)

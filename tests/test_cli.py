@@ -452,6 +452,22 @@ class TestExitCodes:
         assert code == 1 and message in err and err.count("\n") == 1 and out == ""
         assert not (tmp_path / "m.grdn").exists()
 
+    def test_one_scene_batch_at_a_one_pixel_stream_is_usage_error(self, capsys, tmp_path):
+        """Refused when the config is read, before the first step: without the
+        check, training took one step and then exited 2 from batch norm."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"data": {"n_train": 5, "n_eval": 1},
+                                    "augment": {"crop_min": 16, "crop_max": 32,
+                                                "out_size": 16},
+                                    "train": {"epochs": 1, "batch_size": 4}}))
+        ckpt, log = tmp_path / "m.grdn", tmp_path / "log.jsonl"
+        code, out, err = run(capsys, "train", "--config", str(path), "--checkpoint", str(ckpt),
+                             "--log", str(log))
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "augment.out_size 16 makes the deepest stream 1x1" in err
+        assert "train.batch_size 4 with data.n_train 5" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
     @pytest.mark.parametrize("command", ["train", "report"])
     def test_max_shapes_below_num_classes_is_usage_error(self, capsys, tmp_path, command):
         path = tmp_path / "run.json"

@@ -152,6 +152,29 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="section 'augment': " + message):
             RunConfig.from_dict(doc)
 
+    @pytest.mark.parametrize("n_train, batch_size, out_size, refused", [
+        (5, 4, 16, True),    # a one-scene last batch at a 1x1 deepest stream
+        (6, 1, 16, True),    # every batch holds one scene
+        (1, 4, 16, True),    # one batch of one scene
+        (6, 4, 16, False),   # a last batch of two
+        (5, 4, 17, False),   # the deepest stream is 2x2
+        (5, 1, 32, False),   # 2x2 again, at batch 1
+    ])
+    def test_one_scene_batch_at_a_one_pixel_stream_rejected(self, n_train, batch_size,
+                                                            out_size, refused):
+        # the stock grid has 5 streams: min_side 16 halves to a 1x1 deepest stream,
+        # where training batch norm over one scene has one value per channel
+        doc = {"data": {"n_train": n_train}, "train": {"batch_size": batch_size},
+               "augment": {"crop_min": 16, "crop_max": 32, "out_size": out_size}}
+        if not refused:
+            RunConfig.from_dict(doc)
+            return
+        with pytest.raises(ConfigError, match=(
+                rf"^augment.out_size {out_size} makes the deepest stream 1x1, .* "
+                rf"train.batch_size {batch_size} with data.n_train {n_train} leaves a batch "
+                rf"of one$")):
+            RunConfig.from_dict(doc)
+
     @pytest.mark.parametrize("doc", [
         {"grid": {"num_classes": 10}},
         {"data": {"max_shapes": 2}},

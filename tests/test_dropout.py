@@ -58,7 +58,8 @@ class TestSampling:
             sample_drop_mask(small_model(), -1)
 
     @pytest.mark.parametrize("seed,step", [(2**128, 0), (-1, 0), (0, -1),
-                                           (0.5, 0), (True, 0), ("3", 0)])
+                                           (0.5, 0), (True, 0), ("3", 0),
+                                           (0, 0.5), (0, True), (0, "3")])
     def test_seed_and_step_rule(self, seed, step):
         # one message for the rule, not numpy's bare "key must be positive",
         # nor a bare TypeError, nor True run as seed 1
@@ -70,6 +71,12 @@ class TestSampling:
         want = sample_drop_mask(model, 3, 7).keep
         for seed in (np.int64(3), np.uint64(3)):
             assert sample_drop_mask(model, seed, 7).keep == want
+
+    def test_numpy_integer_step_draws_the_int_steps_mask(self):
+        model = small_model(p=0.5)
+        want = sample_drop_mask(model, 7, 3).keep
+        for step in (np.int64(3), np.uint64(3)):
+            assert sample_drop_mask(model, 7, step).keep == want
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**128 - 1), step=st.integers(0, 2**64), p=st.floats(0, 1))

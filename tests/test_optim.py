@@ -29,9 +29,9 @@ def scalar_adam(theta, grads, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8, lr_deca
 
 
 class PerTensorAdam:
-    """Reference: Adam stepped one tensor at a time, the formula evaluated
-    term by term into fresh float64 arrays, on its own copies of the
-    parameters."""
+    """Reference: Adam stepped one tensor at a time, the folded formula
+    evaluated term by term into fresh float64 arrays, on its own copies of
+    the parameters. `scalar_adam` keeps the textbook form."""
 
     def __init__(self, params, lr, beta1, beta2, eps, lr_decay, decay_mode):
         self.data = [p.data.copy() for p in params]
@@ -53,7 +53,10 @@ class PerTensorAdam:
             g = np.asarray(grads[k], np.float64) if grads[k] is not None else 0.0
             self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
             self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * np.square(g)
-            update = lr_t * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2) + self.eps)
+            # the bias corrections folded into the step size and eps
+            # (Kingma & Ba, arXiv 1412.6980, end of section 2)
+            alpha_t = lr_t * math.sqrt(c2) / c1
+            update = self.m[k] * alpha_t / (np.sqrt(self.v[k]) + self.eps * math.sqrt(c2))
             self.data[k] = (data.astype(np.float64) - update).astype(data.dtype)
 
 

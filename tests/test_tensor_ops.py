@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gridseg import (
@@ -607,6 +607,73 @@ class TestMomentMemo:
         x = np.random.default_rng(43).normal(size=(2, 3, 64, 64)).astype(np.float32)
         model.forward(x, training=True, tape=tape)
         assert len(calls) == 49 and len(set(calls)) == len(tape.moments) == 37
+
+
+@st.composite
+def planes(draw):
+    """(h, w) with h*w below `ops.PLANE_MIN` (1024) or at and above it."""
+    lo, hi = (32, 40) if draw(st.booleans()) else (1, 31)
+    return draw(st.integers(lo, hi)), draw(st.integers(lo, hi))
+
+
+class TestPerChannelOperands:
+    """Training batch norm's per-channel operands, materialized where a plane
+    holds ``PLANE_MIN`` values or more, give the bits of the (1, c, 1, 1)
+    broadcast form that `batch_norm_scale_shift` writes out."""
+
+    @pytest.mark.parametrize("hw, materialized", [((31, 33), False), ((32, 32), True),
+                                                  ((1, 1024), True), ((16, 63), False)],
+                             ids=["31x33", "32x32", "1x1024", "16x63"])
+    def test_plane_rule(self, hw, materialized):
+        import gridseg.ops
+
+        assert gridseg.ops.PLANE_MIN == 1024
+        v = np.arange(3, dtype=np.float32)
+        op = gridseg.ops._per_channel(v, *hw)
+        assert op.shape == ((1, 3, *hw) if materialized else (1, 3, 1, 1))
+        assert np.array_equal(np.broadcast_to(op, (1, 3, *hw)),
+                              np.broadcast_to(v.reshape(1, 3, 1, 1), (1, 3, *hw)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 4), c=st.integers(1, 8), hw=planes(),
+           dtype=st.sampled_from([np.float32, np.float64]), seed=st.integers(0, 2**32 - 1))
+    @example(n=2, c=1, hw=(31, 33), dtype=np.float32, seed=0)
+    @example(n=2, c=8, hw=(32, 32), dtype=np.float64, seed=1)
+    def test_bits_equal_broadcast_reference(self, n, c, hw, dtype, seed):
+        """Two training batch norms over one tensor on one tape, the second
+        reading the first's moments: each one's y, running statistics,
+        dgamma and dbeta, the moments' centred input and x's gradient (the
+        sum of both maps') equal the reference's bits."""
+        rng = np.random.default_rng(seed)
+        loc, spread = rng.normal(0.0, 10.0, (c, 1, 1)), rng.uniform(0.1, 10.0, (c, 1, 1))
+        x = Tensor((loc + spread * rng.normal(size=(n, c, *hw))).astype(dtype),
+                   requires_grad=True)
+        bns, before = [], []
+        for _ in range(2):
+            bn = BatchNorm(c, dtype=dtype)
+            bn.gamma.data[:] = rng.normal(size=c)
+            bn.beta.data[:] = rng.normal(size=c)
+            bn.running_mean[:] = rng.normal(size=c)
+            bn.running_var[:] = rng.uniform(0.1, 10.0, size=c)
+            bns.append(bn)
+            before.append(batch_norm_copy(bn, dtype))
+        tape = Tape()
+        ys = [batch_norm(x, bn, True, tape) for bn in bns]
+        (moments,) = tape.moments.values()
+        xc = moments[2]
+        labels = rng.integers(0, c, (n, *hw))
+        backward(tape, softmax_cross_entropy(add(*ys, tape), labels, tape=tape))
+        c4 = (1, c, 1, 1)
+        mean = np.add.reduce(x.data, (0, 2, 3)) / (n * hw[0] * hw[1])
+        assert xc.tobytes() == (x.data - mean.reshape(c4)).tobytes()
+        dxs = []
+        for y, bn, bn0 in zip(ys, bns, before):
+            want = batch_norm_scale_shift(x.data, bn0, True)(y.grad)
+            got = [y.data, bn.running_mean, bn.running_var, None, bn.gamma.grad, bn.beta.grad]
+            dxs.append(want[3])
+            for a, b in zip(got, want, strict=True):
+                assert a is None or (a.dtype == b.dtype and a.tobytes() == b.tobytes())
+        assert x.grad.dtype == dtype and x.grad.tobytes() == (dxs[1] + dxs[0]).tobytes()
 
 
 # ---------------------------------------------------------------------------
