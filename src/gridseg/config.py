@@ -10,7 +10,8 @@ since scenes and images are RGB; ``eval.categories`` must put each of
 the grid's classes in exactly one category, ``augment.out_size`` must
 reach the grid's minimum input side, and where it equals it (the
 deepest stream is then 1x1) every batch of ``data.n_train`` scenes in
-``train.batch_size`` must hold at least two scenes, ``augment.crop_min`` must fit
+``train.batch_size`` must hold at least two scenes, ``data.width`` and
+``data.height`` must reach ``data.MIN_SCENE_SIDE``, ``augment.crop_min`` must fit
 inside the generated scenes, ``data.max_shapes`` must lie in
 [``grid.num_classes`` - 1, 255] so that every class can appear in a
 scene, ``train.ignore_label`` must lie outside [0, ``grid.num_classes``)
@@ -28,7 +29,7 @@ import sys
 import typing
 from dataclasses import dataclass, field, fields
 
-from .data import AugmentConfig
+from .data import MIN_SCENE_SIDE, AugmentConfig
 from .grid import GridSpec, symmetric_columns
 from .metrics import CategoryMap
 from .train import SEED_LIMIT, TrainConfig
@@ -50,6 +51,9 @@ class DataConfig:
         if self.n_train < 1 or self.n_eval < 0:
             raise ValueError(f"need n_train >= 1 and n_eval >= 0, got "
                              f"{self.n_train}, {self.n_eval}")
+        if min(self.width, self.height) < MIN_SCENE_SIDE:
+            raise ValueError(f"width and height must be at least {MIN_SCENE_SIDE}, got "
+                             f"{self.width}x{self.height}")
 
 
 @dataclass(frozen=True)
@@ -66,7 +70,7 @@ class EvalConfig:
         object.__setattr__(self, "scales", tuple(float(s) for s in self.scales))
         if not self.scales:
             raise ValueError("eval.scales must not be empty")
-        if min(self.scales) <= 0:
+        if not all(s > 0 for s in self.scales):  # NaN too
             raise ValueError(f"eval.scales must be positive, got {list(self.scales)}")
         if max(self.scales) > self.MAX_SCALE:
             raise ValueError(f"eval.scales must be at most {self.MAX_SCALE:g}, "

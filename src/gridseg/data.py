@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MIN_SCENE_SIDE = 4  # a disk has radius at least 2, so its centre needs a side of 4
+
 
 @dataclass
 class Scene:
@@ -77,6 +79,9 @@ def _shape_mask(rng, kind: str, h: int, w: int) -> np.ndarray:
 def generate_scene(seed: int, width: int = 128, height: int = 128,
                    num_classes: int = 4, max_shapes: int = 8) -> Scene:
     """Render one scene; the caller's seed fully determines the result."""
+    if min(width, height) < MIN_SCENE_SIDE:
+        raise ValueError(f"scene {width}x{height} is too small: width and height "
+                         f"must be at least {MIN_SCENE_SIDE}")
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     if not num_classes - 1 <= max_shapes <= 255:

@@ -1,4 +1,4 @@
-"""Adam with float64 state and a step-indexed learning-rate schedule.
+"""Adam with float64 state and an inverse-time learning-rate decay.
 
 The optimizer owns its parameters' storage. Building an :class:`Adam`
 packs the parameters, in the order given, into one contiguous buffer and
@@ -19,11 +19,12 @@ Building a second Adam over the same tensors moves them into the new
 one's buffer, so the Adam built last owns them and the earlier one must
 not be stepped again.
 
-The update folds the bias corrections into the step size and epsilon
-(Kingma & Ba, arXiv 1412.6980, end of section 2): with
-``c1 = 1 - beta1**t`` and ``c2 = 1 - beta2**t``, ``alpha_t = lr_t *
-sqrt(c2) / c1`` and ``eps_hat = eps * sqrt(c2)``, each parameter moves by
-``alpha_t * m / (sqrt(v) + eps_hat)``. That is the textbook
+Step ``t`` (1-based) has the learning rate ``lr_t = lr / (1 + lr_decay *
+(t - 1))``, and its update folds the bias corrections into the step size
+and epsilon (Kingma & Ba, arXiv 1412.6980, end of section 2): with ``c1 =
+1 - beta1**t`` and ``c2 = 1 - beta2**t``, ``alpha_t = lr_t * sqrt(c2) /
+c1`` and ``eps_hat = eps * sqrt(c2)``, each parameter moves by ``alpha_t
+* m / (sqrt(v) + eps_hat)``. That is the textbook
 ``lr_t * (m / c1) / (sqrt(v / c2) + eps)`` up to rounding, with no pass
 dividing ``m`` or ``v``: twelve in-place ufuncs a block where the
 textbook form takes fourteen.
@@ -52,13 +53,9 @@ class GradientError(RuntimeError):
     """A parameter gradient contains NaN or infinity, or an entry too large to square."""
 
 
-DECAY_MODES = ("inverse_time", "multiplicative")
-
-
-def check_hyperparams(lr, beta1, beta2, eps, lr_decay, decay_mode) -> None:
+def check_hyperparams(lr, beta1, beta2, eps, lr_decay) -> None:
     """Raise ValueError unless lr > 0, betas lie in [0, 1), eps > 0,
-    lr_decay >= 0, lr, eps and lr_decay are finite and decay_mode is known;
-    the multiplicative mode also needs lr_decay < 1."""
+    lr_decay >= 0 and lr, eps and lr_decay are finite."""
     if not 0 < lr < math.inf:
         raise ValueError(f"lr must be positive and finite, got {lr}")
     if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
@@ -67,21 +64,14 @@ def check_hyperparams(lr, beta1, beta2, eps, lr_decay, decay_mode) -> None:
         raise ValueError(f"eps must be positive and finite, got {eps}")
     if not 0 <= lr_decay < math.inf:
         raise ValueError(f"lr_decay must be non-negative and finite, got {lr_decay}")
-    if decay_mode not in DECAY_MODES:
-        raise ValueError(f"decay_mode must be one of {DECAY_MODES}, got {decay_mode!r}")
-    # lr * (1 - lr_decay) ** (t - 1) is zero from step 2 at lr_decay = 1 and
-    # alternates in sign above it
-    if decay_mode == "multiplicative" and lr_decay >= 1:
-        raise ValueError(f"lr_decay must be below 1 with decay_mode 'multiplicative', "
-                         f"got {lr_decay}")
 
 
 class Adam:
     """Bias-corrected Adam over an ordered list of named parameters."""
 
     def __init__(self, named_params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8,
-                 lr_decay=0.0, decay_mode="inverse_time"):
-        check_hyperparams(lr, beta1, beta2, eps, lr_decay, decay_mode)
+                 lr_decay=0.0):
+        check_hyperparams(lr, beta1, beta2, eps, lr_decay)
         named_params = list(named_params)
         if not named_params:
             raise ValueError("Adam needs at least one parameter")
@@ -95,7 +85,6 @@ class Adam:
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.lr_decay = float(lr_decay)
-        self.decay_mode = decay_mode
         self.t = 0
         size = sum(p.size for p in self.params)
         self._data = np.empty(size, self.params[0].dtype)
@@ -118,9 +107,7 @@ class Adam:
     def effective_lr(self, t: int | None = None) -> float:
         """Learning rate applied at 1-based step t (default: the next step)."""
         t = self.t + 1 if t is None else t
-        if self.decay_mode == "inverse_time":
-            return self.lr / (1.0 + self.lr_decay * (t - 1))
-        return self.lr * (1.0 - self.lr_decay) ** (t - 1)
+        return self.lr / (1.0 + self.lr_decay * (t - 1))
 
     def step(self) -> float:
         """Apply one update; returns the learning rate used.
@@ -187,5 +174,4 @@ class Adam:
             "beta2": self.beta2,
             "eps": self.eps,
             "lr_decay": self.lr_decay,
-            "decay_mode": self.decay_mode,
         }

@@ -41,10 +41,11 @@ _VERSION = 1
 _HEADER_KEYS = frozenset({"spec", "mask", "input_hw", "init_seed", "prune_masked",
                           "params", "buffers", "optim", "train"})
 _MASK_KEYS = ("horizontal_on", "residual_on", "vertical_on")
+_V1_OPTIM = {"decay_mode": "inverse_time"}  # fixed v1 entries: checked on load, not Adam's
 _NESTED_KEYS = {
     "spec": {"n_streams", "column_kinds"},
     "mask": set(_MASK_KEYS),
-    "optim": {"t", "lr", "beta1", "beta2", "eps", "lr_decay", "decay_mode"},
+    "optim": {"t", "lr", "beta1", "beta2", "eps", "lr_decay", *_V1_OPTIM},
     "train": {"seed", "epochs_done"},
 }
 
@@ -113,7 +114,6 @@ class TrainConfig:
     beta2: float = 0.999
     eps: float = 1e-8
     lr_decay: float = 0.0
-    decay_mode: str = "inverse_time"
     lr_drop_epoch: int | None = None
     lr_after_drop: float | None = None
     ignore_label: int = 255
@@ -124,8 +124,7 @@ class TrainConfig:
             raise ValueError(f"epochs must be non-negative, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        check_hyperparams(self.lr, self.beta1, self.beta2, self.eps, self.lr_decay,
-                          self.decay_mode)
+        check_hyperparams(self.lr, self.beta1, self.beta2, self.eps, self.lr_decay)
         if (self.lr_drop_epoch is None) != (self.lr_after_drop is None):
             raise ValueError("lr_drop_epoch and lr_after_drop go together")
         if self.lr_after_drop is not None and not self.lr_after_drop > 0:
@@ -185,8 +184,7 @@ def train_epoch(model: GridModel, optim: Adam, scenes: list[Scene],
 
 def make_optimizer(model: GridModel, cfg: TrainConfig) -> Adam:
     return Adam(model.named_parameters(), lr=cfg.lr, beta1=cfg.beta1,
-                beta2=cfg.beta2, eps=cfg.eps, lr_decay=cfg.lr_decay,
-                decay_mode=cfg.decay_mode)
+                beta2=cfg.beta2, eps=cfg.eps, lr_decay=cfg.lr_decay)
 
 
 def train_run(model: GridModel, scenes: list[Scene], augment: AugmentConfig,
@@ -231,7 +229,8 @@ def train_run(model: GridModel, scenes: list[Scene], augment: AugmentConfig,
 
 def _drop_log_lines(path: str, epochs_done: int) -> None:
     """Rewrite the log at ``path``, through a synced temporary file, without
-    its records of epochs ``epochs_done`` and later."""
+    its records of epochs ``epochs_done`` and later, and without a last line
+    that lacks its newline: every record ends in one, so that is a torn write."""
     def stale(line):
         try:
             epoch = json.loads(line).get("epoch")
@@ -240,7 +239,7 @@ def _drop_log_lines(path: str, epochs_done: int) -> None:
         return isinstance(epoch, int) and epoch >= epochs_done
 
     with open(path) as f:
-        keep = [line for line in f if not stale(line)]
+        keep = [line for line in f if line.endswith("\n") and not stale(line)]
     with open(f"{path}.tmp", "w") as f:
         f.writelines(keep)
         f.flush()
@@ -286,7 +285,7 @@ def save_checkpoint(path: str, model: GridModel, optim: Adam, train_seed: int,
         "prune_masked": False,  # v1 layout; every model allocates the full grid
         "params": [[n, list(p.shape)] for n, p in params],
         "buffers": [[n, list(b.shape)] for n, b in buffers],
-        "optim": {**optim.hyperparams(), "t": optim.t},
+        "optim": {**optim.hyperparams(), **_V1_OPTIM, "t": optim.t},
         "train": {"seed": int(train_seed), "epochs_done": int(epochs_done)},
     }
     blob = json.dumps(header, sort_keys=True).encode()
@@ -344,12 +343,17 @@ def load_checkpoint(path: str):
                          f"2**{SEED_LIMIT.bit_length() - 1}")
     if type(header["prune_masked"]) is not bool:
         raise ValueError(f"{path}: checkpoint prune_masked must be true or false")
+    for key, want in _V1_OPTIM.items():
+        if header["optim"][key] != want:
+            raise ValueError(f"{path}: checkpoint {key} must be {want!r}, "
+                             f"got {header['optim'][key]!r}")
     try:  # values of the wrong type surface as TypeError in the constructors
         spec = GridSpec.from_dict(header["spec"])
         mask = ConnectionMask(*(np.array(header["mask"][k], bool) for k in _MASK_KEYS))
         model = build_grid(spec, hw, mask=mask, seed=header["init_seed"])
         params = model.named_parameters()
-        optim = Adam(params, **{k: v for k, v in header["optim"].items() if k != "t"})
+        optim = Adam(params, **{k: v for k, v in header["optim"].items()
+                                if k != "t" and k not in _V1_OPTIM})
     except TypeError as e:
         raise ValueError(f"{path}: malformed checkpoint header ({e})") from None
     except ValueError as e:

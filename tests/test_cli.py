@@ -236,8 +236,6 @@ class TestTrainEvalInfer:
         ({"beta2": 0.99}, "beta2 is 0.999, expected 0.99"),
         ({"eps": 0.1}, "eps is 1e-08, expected 0.1"),
         ({"lr_decay": 0.5}, "lr_decay is 0.0, expected 0.5"),
-        ({"decay_mode": "multiplicative"},
-         "decay_mode is 'inverse_time', expected 'multiplicative'"),
     ])
     def test_resume_with_other_adam_settings_is_usage_error(self, capsys, tmp_path,
                                                             tiny_config, train, message):
@@ -388,21 +386,26 @@ class TestExitCodes:
         assert code == 2 and out == "" and err.count("\n") == 1
         assert f"{ckpt}: " in err and "the train seed below 2**128" in err
 
-    def test_multiplicative_lr_decay_above_one_in_header_is_runtime_error(
-            self, capsys, tmp_path, tiny_config):
+    def test_multiplicative_decay_mode_in_header_is_runtime_error(self, capsys, tmp_path,
+                                                                  tiny_config):
+        # the v1 header keeps decay_mode, and inverse time is its one value
         ckpt = self._edited_checkpoint(
             capsys, tmp_path, tiny_config,
-            lambda h: h["optim"].update(lr_decay=1.5, decay_mode="multiplicative"))
-        code, _, err = run(capsys, "eval", "--config", tiny_config, "--checkpoint", ckpt)
-        assert code == 2 and "lr_decay must be below 1" in err and err.count("\n") == 1
+            lambda h: h["optim"].update(decay_mode="multiplicative"))
+        code, out, err = run(capsys, "eval", "--config", tiny_config, "--checkpoint", ckpt)
+        assert code == 2 and out == ""
+        assert err == (f"gridseg: {ckpt}: checkpoint decay_mode must be 'inverse_time', "
+                       f"got 'multiplicative'\n")
 
-    def test_multiplicative_lr_decay_above_one_in_config_is_usage_error(self, capsys, tmp_path):
+    def test_decay_mode_in_config_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "run.json"
-        train = {**TINY["train"], "lr_decay": 1.5, "decay_mode": "multiplicative"}
-        path.write_text(json.dumps({**TINY, "train": train}))
-        code, _, err = run(capsys, "train", "--config", str(path),
-                           "--checkpoint", str(tmp_path / "m.grdn"))
-        assert code == 1 and "lr_decay must be below 1" in err and err.count("\n") == 1
+        path.write_text(json.dumps({**TINY, "train": {**TINY["train"],
+                                                      "decay_mode": "inverse_time"}}))
+        code, out, err = run(capsys, "train", "--config", str(path),
+                             "--checkpoint", str(tmp_path / "m.grdn"))
+        assert code == 1 and out == ""
+        assert err == "gridseg: unknown keys in section 'train': ['decay_mode']\n"
+        assert not (tmp_path / "m.grdn").exists()
 
     @pytest.mark.parametrize("grid,message", [
         ({"n_streams": 10**30}, "n_streams must lie in [1, 16]"),
@@ -450,6 +453,20 @@ class TestExitCodes:
         argv = ["--checkpoint", str(tmp_path / "m.grdn")] if command == "train" else []
         code, out, err = run(capsys, command, "--config", str(path), *argv)
         assert code == 1 and message in err and err.count("\n") == 1 and out == ""
+        assert not (tmp_path / "m.grdn").exists()
+
+    @pytest.mark.parametrize("data", [{"width": 3, "height": 3}, {"width": 24, "height": 2}])
+    def test_scenes_too_small_to_draw_is_usage_error(self, capsys, tmp_path, data):
+        """Refused when the config is read: a 3x3 scene used to stop the run
+        with exit 2 and numpy's bare 'low >= high'."""
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**TINY, "data": {**TINY["data"], **data},
+                                    "augment": {**TINY["augment"], "crop_min": 1}}))
+        code, out, err = run(capsys, "train", "--config", str(path),
+                             "--checkpoint", str(tmp_path / "m.grdn"))
+        assert code == 1 and out == ""
+        assert err == (f"gridseg: section 'data': width and height must be at least 4, "
+                       f"got {data['width']}x{data['height']}\n")
         assert not (tmp_path / "m.grdn").exists()
 
     def test_one_scene_batch_at_a_one_pixel_stream_is_usage_error(self, capsys, tmp_path):
@@ -599,8 +616,7 @@ SECTIONS = {"grid": GridSpec, "data": DataConfig, "augment": AugmentConfig,
 # are tested one by one in TestExitCodes, never by building a model
 SIZES = {"n_streams": st.integers(0, 4), "base_channels": st.integers(0, 6),
          "num_classes": st.integers(1, 12), "image_channels": st.integers(0, 4)}
-WORDS = {"fusion": ("sum", "concat"), "mask": ("full", "conv_deconv", "u_net", "frrn"),
-         "decay_mode": ("inverse_time", "multiplicative")}
+WORDS = {"fusion": ("sum", "concat"), "mask": ("full", "conv_deconv", "u_net", "frrn")}
 # leaves of a type no int field takes, so a wrong-typed value never reaches a size
 foreign = (st.none() | st.booleans() | st.floats() | st.text(max_size=4)
            | st.lists(st.none(), max_size=2))

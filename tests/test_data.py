@@ -93,6 +93,16 @@ class TestScenes:
         with pytest.raises(ValueError):
             generate_scene(0, num_classes=4, max_shapes=2)
 
+    def test_smallest_scene_side(self):
+        # a disk of radius 2 needs a side of 4; at 3x3 numpy's integers() used
+        # to raise a bare "low >= high" for most seeds
+        for w, h in ((3, 3), (8, 3), (3, 8)):
+            with pytest.raises(ValueError, match=f"^scene {w}x{h} is too small: width and "
+                                                 f"height must be at least 4$"):
+                generate_scene(0, width=w, height=h)
+        for seed in range(300):
+            assert generate_scene(seed, width=4, height=4).labels.shape == (4, 4)
+
 
 class TestResize:
     def test_identity(self):

@@ -33,20 +33,17 @@ class PerTensorAdam:
     evaluated term by term into fresh float64 arrays, on its own copies of
     the parameters. `scalar_adam` keeps the textbook form."""
 
-    def __init__(self, params, lr, beta1, beta2, eps, lr_decay, decay_mode):
+    def __init__(self, params, lr, beta1, beta2, eps, lr_decay):
         self.data = [p.data.copy() for p in params]
         self.m = [np.zeros(p.shape, np.float64) for p in params]
         self.v = [np.zeros(p.shape, np.float64) for p in params]
         self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
-        self.lr_decay, self.decay_mode = lr_decay, decay_mode
+        self.lr_decay = lr_decay
         self.t = 0
 
     def step(self, grads):
         self.t += 1
-        if self.decay_mode == "inverse_time":
-            lr_t = self.lr / (1.0 + self.lr_decay * (self.t - 1))
-        else:
-            lr_t = self.lr * (1.0 - self.lr_decay) ** (self.t - 1)
+        lr_t = self.lr / (1.0 + self.lr_decay * (self.t - 1))
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         for k, data in enumerate(self.data):
@@ -74,8 +71,7 @@ def arena_cases(draw):
              "beta1": draw(st.sampled_from([0.0, 0.9])),
              "beta2": draw(st.sampled_from([0.5, 0.999])),
              "eps": draw(st.sampled_from([1e-8, 1e-3])),
-             "lr_decay": draw(st.sampled_from([0.0, 0.1, 0.9])),
-             "decay_mode": draw(st.sampled_from(["inverse_time", "multiplicative"]))}
+             "lr_decay": draw(st.sampled_from([0.0, 0.1, 0.9]))}
     absent = draw(st.lists(st.lists(st.booleans(), min_size=len(shapes),
                                     max_size=len(shapes)), min_size=1, max_size=5))
     # zero parameters make the first update show in full, not rounded into
@@ -306,12 +302,6 @@ class TestAdam:
         assert opt.effective_lr(2) == pytest.approx(0.1 / 1.5)
         assert opt.effective_lr(11) == pytest.approx(0.1 / 6.0)
 
-    def test_multiplicative_schedule(self):
-        p = Tensor(np.array([0.0]), requires_grad=True)
-        opt = Adam([("p", p)], lr=0.1, lr_decay=0.1, decay_mode="multiplicative")
-        assert opt.effective_lr(1) == 0.1
-        assert opt.effective_lr(3) == pytest.approx(0.1 * 0.81)
-
     def test_float32_params_stay_float32(self):
         p = Tensor(np.ones(2, np.float32), requires_grad=True)
         opt = Adam([("p", p)], lr=0.5)
@@ -326,17 +316,12 @@ class TestAdam:
             Adam([("p", p)], lr=0.0)
         with pytest.raises(ValueError):
             Adam([("p", p)], beta1=1.0)
-        with pytest.raises(ValueError):
-            Adam([("p", p)], decay_mode="staircase")
         # eps = 0 divides 0 by 0 wherever m = v = 0, which is every entry at step 1
         # an infinite lr or lr_decay puts inf or NaN into the parameters at
-        # the first step; an infinite eps freezes training; a multiplicative
-        # lr_decay of 1 or more makes the rate zero or alternate in sign
+        # the first step; an infinite eps freezes training
         for bad in ({"eps": 0.0}, {"eps": -1e-8}, {"lr": float("nan")},
                     {"lr_decay": float("nan")}, {"lr": float("inf")},
-                    {"eps": float("inf")}, {"lr_decay": float("inf")},
-                    {"lr_decay": 1.0, "decay_mode": "multiplicative"},
-                    {"lr_decay": 1.5, "decay_mode": "multiplicative"}):
+                    {"eps": float("inf")}, {"lr_decay": float("inf")}):
             with pytest.raises(ValueError):
                 Adam([("p", p)], **bad)
         with pytest.raises(ValueError):

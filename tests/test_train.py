@@ -164,6 +164,23 @@ class TestTraining:
         assert len(calls) == optim.t > 0
         assert runs[0] == runs[1]
 
+    def test_resume_drops_a_torn_last_log_line(self, tmp_path):
+        """A record cut short before its newline (by a full disk, say) is
+        dropped, not continued by the resumed run's record."""
+        cfg = TrainConfig(epochs=2, batch_size=2, lr=0.01, snapshot_every=1)
+        straight = tmp_path / "straight.jsonl"
+        train_run(tiny_model(seed=2), scenes16(), AUG, cfg, seed=9, log_path=str(straight))
+        ckpt, log = tmp_path / "m.grdn", tmp_path / "log.jsonl"
+        train_run(tiny_model(seed=2), scenes16(), AUG, dataclasses.replace(cfg, epochs=1),
+                  seed=9, log_path=str(log), snapshot_path=str(ckpt))
+        torn = straight.read_text().splitlines()[1][:16]
+        assert torn == '{"epoch": 1, "lo'
+        log.write_text(log.read_text() + torn)
+        model, optim, info = load_checkpoint(str(ckpt))
+        train_run(model, scenes16(), AUG, cfg, seed=9, optim=optim,
+                  epochs_done=info["epochs_done"], log_path=str(log))
+        assert log.read_bytes() == straight.read_bytes()
+
     def test_seed_changes_run(self):
         cfg = TrainConfig(epochs=1, batch_size=2, lr=0.01)
         a, b = tiny_model(seed=2), tiny_model(seed=2)
@@ -475,8 +492,9 @@ class TestCheckpoints:
         (lambda h: h["spec"].update(n_streams="x"), "malformed checkpoint header"),
         (lambda h: h["optim"].update(lr_decay=float("inf")), "lr_decay must be"),
         (lambda h: h["optim"].update(eps=float("inf")), "eps must be"),
-        (lambda h: h["optim"].update(lr_decay=1.5, decay_mode="multiplicative"),
-         "lr_decay must be below 1"),
+        (lambda h: h["optim"].update(decay_mode="multiplicative"),
+         "checkpoint decay_mode must be 'inverse_time', got 'multiplicative'$"),
+        (lambda h: h["optim"].pop("decay_mode"), "'optim' must be an object"),
         (lambda h: h.update(prune_masked=0), "prune_masked must be true or false"),
         (lambda h: h.update(prune_masked="false"), "prune_masked must be true or false"),
         (lambda h: h.update(prune_masked=None), "prune_masked must be true or false"),
@@ -496,7 +514,8 @@ class TestCheckpoints:
     ], ids=["mask_empty", "optim_without_t", "spec_without_n_streams", "train_empty",
             "negative_epochs_done", "one_side_input_hw", "float_init_seed",
             "lr_not_a_number", "n_streams_not_an_int", "infinite_lr_decay", "infinite_eps",
-            "multiplicative_lr_decay_above_one", "prune_masked_int", "prune_masked_string",
+            "multiplicative_decay_mode", "optim_without_decay_mode", "prune_masked_int",
+            "prune_masked_string",
             "prune_masked_null", "train_seed_too_large", "bool_dropout_p", "bool_n_streams",
             "int_vertical_residual", "string_vertical_residual", "int_fusion",
             "unknown_mask_preset", "beta1_above_one", "mask_of_wrong_shape",
@@ -510,6 +529,14 @@ class TestCheckpoints:
             load_checkpoint(str(path))
         assert "\n" not in str(info.value)
         assert str(info.value).startswith(f"{path}: ")
+
+    def test_header_keeps_the_v1_decay_mode(self):
+        # the v1 layout keeps the key, with the one schedule's name, so
+        # readers that require it still load the file
+        header, _ = split_checkpoint(VALID_CHECKPOINT)
+        assert header["optim"]["decay_mode"] == "inverse_time"
+        assert sorted(header["optim"]) == ["beta1", "beta2", "decay_mode", "eps", "lr",
+                                           "lr_decay", "t"]
 
     def test_pruned_header_over_full_mask_loads(self, tmp_path):
         # a model pruned under the all-on mask allocates every unit, so its
